@@ -38,9 +38,9 @@ class GlobalPtr:
     NULL: "GlobalPtr"
 
     def __init__(self, rank: int, offset: int, ts: TypeSpec | str):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "ts", type_spec(ts))
+        _set_rank(self, rank)
+        _set_offset(self, offset)
+        _set_ts(self, type_spec(ts))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("GlobalPtr is immutable")
@@ -65,11 +65,11 @@ class GlobalPtr:
         Charges one ``LOCALITY_BRANCH`` unless the build's
         ``constexpr_is_local_smp`` optimization applies (SMP conduit).
         """
-        from repro.runtime.context import current_ctx
-
         if ctx is None:
+            from repro.runtime.context import current_ctx
+
             ctx = current_ctx()
-        if self.is_null:
+        if self.rank < 0:
             ctx.charge(CostAction.LOCALITY_BRANCH)
             return False
         if not (
@@ -85,9 +85,9 @@ class GlobalPtr:
         Raises :class:`~repro.errors.LocalityError` if the memory is not
         directly addressable from the calling rank.
         """
-        from repro.runtime.context import current_ctx
-
         if ctx is None:
+            from repro.runtime.context import current_ctx
+
             ctx = current_ctx()
         if self.is_null:
             raise InvalidGlobalPointer("local() on a null global pointer")
@@ -102,9 +102,16 @@ class GlobalPtr:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, n: int) -> "GlobalPtr":
-        if self.is_null:
+        rank = self.rank
+        if rank < 0:
             raise InvalidGlobalPointer("arithmetic on a null global pointer")
-        return GlobalPtr(self.rank, self.offset + n * self.ts.size, self.ts)
+        # the operands are already valid: skip __init__'s type lookup
+        ts = self.ts
+        p = _new(GlobalPtr)
+        _set_rank(p, rank)
+        _set_offset(p, self.offset + n * ts.size)
+        _set_ts(p, ts)
+        return p
 
     def __radd__(self, n: int) -> "GlobalPtr":
         return self.__add__(n)
@@ -146,6 +153,14 @@ class GlobalPtr:
             return "GlobalPtr.NULL"
         return f"GlobalPtr(rank={self.rank}, offset={self.offset}, ts={self.ts.name})"
 
+
+#: the slot setters, called directly: ``__setattr__`` is closed for
+#: immutability, and a direct descriptor call also skips the attribute
+#: lookup ``object.__setattr__`` would make
+_set_rank = GlobalPtr.rank.__set__
+_set_offset = GlobalPtr.offset.__set__
+_set_ts = GlobalPtr.ts.__set__
+_new = object.__new__
 
 GlobalPtr.NULL = GlobalPtr(-1, 0, "u8")
 

@@ -187,21 +187,6 @@ class FeatureFlags:
         default on every build; turning it off restores the pure
         predicate-scan scheduler — the differential oracle the parity and
         fuzz suites diff against.
-    cost_batching:
-        Defer per-charge virtual-clock advances into a per-rank pending
-        scalar that is flushed lazily at the next clock read (every switch
-        point, timestamp, and barrier reads the clock, so no stale time is
-        ever observed).  Charges accumulate in exact integer clock units
-        (the clock's fixed-point grid — see
-        :mod:`repro.sim.clock`), so integer-add associativity makes the
-        batched clocks **bit-identical** to per-charge advancing, not
-        merely close.  Functional results and action counts are identical
-        too.  On by default on every build; ``cost_batching=False`` is the
-        per-charge opt-out (covered by the flag matrix).  Incompatible
-        with timing noise (``RuntimeConfig.noise``): jitter requires a
-        per-charge draw, so a noisy run with default flags silently
-        resolves to the unbatched model (explicitly requesting both still
-        raises).
     cx_continuations:
         Notifiable completion objects beyond futures/promises (see
         :mod:`repro.core.completions` and DESIGN.md §13): continuation
@@ -245,7 +230,6 @@ class FeatureFlags:
     wait_flush_fill_frac: float = 0.5
     sched_event_loop: bool = False
     sched_wake_list: bool = True
-    cost_batching: bool = True
     cx_continuations: bool = False
 
     def __post_init__(self):
@@ -438,15 +422,7 @@ class RuntimeConfig:
     def resolved_flags(self) -> FeatureFlags:
         if self.flags is not None:
             return self.flags
-        flags = flags_for(self.version)
-        if self.noise and flags.cost_batching:
-            # jitter must be drawn per charge — exactly the per-charge work
-            # batching removes.  A noisy run on a *default* build silently
-            # gets the unbatched cost model; explicitly requesting both
-            # (flags= with cost_batching on plus noise>0) still raises at
-            # context construction.
-            flags = flags.replace(cost_batching=False)
-        return flags
+        return flags_for(self.version)
 
     def describe(self) -> str:
         return (

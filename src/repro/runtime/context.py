@@ -18,11 +18,11 @@ import random
 import threading
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.errors import NotInitializedError, UpcxxError
+from repro.errors import NotInitializedError
 from repro.runtime.config import FeatureFlags, RuntimeConfig
 from repro.runtime.progress import ProgressEngine
 from repro.sim.clock import VirtualClock
-from repro.sim.costmodel import CostAction, CostModel
+from repro.sim.costmodel import CostModel, NoisyCostModel
 from repro.sim.machines import MachineProfile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,29 +53,31 @@ class RankContext:
         self.flags: FeatureFlags = config.resolved_flags()
         self.profile = profile
         self.clock = VirtualClock()
-        self.costs = CostModel(profile, self.clock)
-        self.costs._ctx = self  # back-reference for tracing
         if config.noise:
-            self.costs.noise = config.noise
             # independent of self.rng so timing jitter never perturbs
             # application-level randomness
-            self.costs.noise_rng = random.Random(
+            noise_rng = random.Random(
                 (config.seed * 7_368_787) ^ (rank * 104_729) ^ 0x5EED
             )
             # job-wide interference: one draw per (seed, world) shared by
             # all ranks — the correlated component a whole sample absorbs
             run_rng = random.Random(config.seed * 48_611 + 0xCAFE)
-            self.costs.noise_run_factor = 1.0 + 2.0 * config.noise * abs(
-                run_rng.gauss(0, 1)
+            self.costs: CostModel = NoisyCostModel(
+                profile,
+                self.clock,
+                noise=config.noise,
+                noise_rng=noise_rng,
+                noise_run_factor=1.0
+                + 2.0 * config.noise * abs(run_rng.gauss(0, 1)),
             )
-        if self.flags.cost_batching:
-            if config.noise:
-                raise UpcxxError(
-                    "cost_batching is incompatible with timing noise: "
-                    "jitter must be drawn per charge, which is exactly the "
-                    "per-charge work batching removes"
-                )
-            self.costs.enable_batching()
+        else:
+            self.costs = CostModel(profile, self.clock)
+        self.costs._ctx = self  # back-reference for tracing
+        #: ``charge(action, times=1)`` / ``charge_bytes(action, nbytes)``:
+        #: the cost model's own bound methods, so a charge made through
+        #: the context pays no extra Python frame
+        self.charge = self.costs.charge
+        self.charge_bytes = self.costs.charge_bytes
         self.progress_engine = ProgressEngine(self)
         self.rng = random.Random((config.seed * 1_000_003) ^ (rank + 1))
         # wired by the runtime after construction:
@@ -112,13 +114,7 @@ class RankContext:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankContext rank={self.rank}/{self.world_size}>"
 
-    # -- cost & progress shorthands ----------------------------------------
-
-    def charge(self, action: CostAction, times: int = 1) -> None:
-        self.costs.charge(action, times)
-
-    def charge_bytes(self, action: CostAction, nbytes: int) -> None:
-        self.costs.charge_bytes(action, nbytes)
+    # -- progress shorthands -----------------------------------------------
 
     def progress(self) -> bool:
         """Run one pass of this rank's progress engine."""

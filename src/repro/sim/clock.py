@@ -10,20 +10,13 @@ Internally the clock counts integer *units* of 2\ :sup:`-20` ns
 (:data:`UNITS_PER_NS` per nanosecond).  Machine-profile costs are quantized
 to this grid at the profile level (:meth:`MachineProfile.cost_ns`), so
 every charge is an exact integer number of units and accumulation is
-integer addition — associative, hence order-independent.  That is what
-lets batched cost accounting (``FeatureFlags.cost_batching``) park charged
-units in a pending scalar and fold them in lazily while staying
-**bit-identical** to per-charge advancing.  The float-facing API is exact
-both ways: a unit count below 2\ :sup:`53` converts to float without
-rounding (the grid is dyadic), which bounds exact operation to ~8.6
-virtual seconds per rank — orders of magnitude beyond any modeled run.
-
-When the owning :class:`~repro.sim.costmodel.CostModel` runs in batched
-mode the clock carries a *flush hook* that folds the pending units in
-before any read of :attr:`VirtualClock.now_ns` and before any explicit
-advance, so every observable timestamp (AM stamps, barrier max-clocks,
-span marks) is exactly as if each charge had advanced the clock
-individually.
+integer addition.  That is what lets the cost model add a charge's units
+straight onto :attr:`VirtualClock._units` while staying **bit-identical**
+to advancing the clock through the float API one charge at a time.  The
+float-facing API is exact both ways: a unit count below 2\ :sup:`53`
+converts to float without rounding (the grid is dyadic), which bounds
+exact operation to ~8.6 virtual seconds per rank — orders of magnitude
+beyond any modeled run.
 """
 
 from __future__ import annotations
@@ -43,24 +36,16 @@ class VirtualClock:
     via :meth:`mark`/:meth:`elapsed_since`.
     """
 
-    __slots__ = ("_units", "_marks", "_flush_hook")
+    __slots__ = ("_units", "_marks")
 
     def __init__(self, start_ns: float = 0.0):
         #: current time in integer units of 2**-20 ns
         self._units: int = round(start_ns * UNITS_PER_NS)
         self._marks: dict[str, float] = {}
-        #: zero-argument callable folding a cost accumulator's pending
-        #: units into ``_units`` (None → nothing batches on this clock and
-        #: reads are a bare slot load)
-        self._flush_hook = None
 
     @property
     def now_ns(self) -> float:
-        """The current virtual time (flushes any batched pending charges
-        first, so timestamps never go stale)."""
-        hook = self._flush_hook
-        if hook is not None:
-            hook()
+        """The current virtual time."""
         return self._units * _INV_UNITS
 
     @now_ns.setter
@@ -77,20 +62,8 @@ class VirtualClock:
         """
         if ns < 0:
             raise ValueError(f"cannot advance clock by negative time {ns}")
-        hook = self._flush_hook
-        if hook is not None:
-            # pending batched charges happened before this advance
-            hook()
         self._units += round(ns * UNITS_PER_NS)
         return self._units * _INV_UNITS
-
-    def advance_units(self, units: int) -> None:
-        """Advance by an exact integer unit count (the cost model's
-        no-conversion fast path for unbatched charges)."""
-        hook = self._flush_hook
-        if hook is not None:
-            hook()
-        self._units += units
 
     def advance_to(self, t_ns: float) -> float:
         """Move the clock forward to absolute time ``t_ns`` if it is ahead
@@ -102,9 +75,6 @@ class VirtualClock:
         to the nearest unit before the comparison, so the same target
         always lands every waiting rank on the same grid point.
         """
-        hook = self._flush_hook
-        if hook is not None:
-            hook()
         units = round(t_ns * UNITS_PER_NS)
         if units > self._units:
             self._units = units

@@ -34,11 +34,6 @@ import enum
 from collections import Counter
 from typing import TYPE_CHECKING
 
-try:  # numpy backs the batched-count reduction; optional otherwise
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
-
 from repro.sim.clock import UNITS_PER_NS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -49,7 +44,15 @@ _INV_UNITS = 1.0 / UNITS_PER_NS
 
 
 class CostAction(enum.Enum):
-    """Named runtime-internal actions with per-machine nanosecond costs."""
+    """Named runtime-internal actions with per-machine nanosecond costs.
+
+    Every member carries a dense ``index`` (``0..N-1`` in declaration
+    order), which the cost model uses to keep its per-action tables in
+    flat lists: an enum-keyed dict lookup pays a Python-level
+    ``Enum.__hash__`` on every charge.
+    """
+
+    index: int
 
     # -- heap traffic ----------------------------------------------------
     HEAP_ALLOC_PROMISE_CELL = "heap_alloc_promise_cell"
@@ -147,11 +150,10 @@ class CostAction(enum.Enum):
     FUNCTION_CALL = "function_call"
 
 
-#: stable dense indexing of the action vocabulary, used by the batched
-#: per-rank count accumulators (a flat list indexes ~3× faster than a
-#: Counter keyed by enum members on the charge hot path)
 _ACTIONS: tuple[CostAction, ...] = tuple(CostAction)
-_ACTION_INDEX: dict[CostAction, int] = {a: i for i, a in enumerate(_ACTIONS)}
+for _i, _a in enumerate(_ACTIONS):
+    _a.index = _i
+del _i, _a
 
 
 class CostModel:
@@ -167,99 +169,49 @@ class CostModel:
 
     Notes
     -----
-    Counting is always on (it is just a ``Counter`` update); it is what lets
-    tests make structural assertions independent of the tuned constants.
+    Counting is always on; it is what lets tests make structural
+    assertions independent of the tuned constants.
 
-    Per-action costs are precomputed at construction into two flat dicts —
-    exact integer clock units (the profile quantizes every cost to the
-    2\ :sup:`-20` ns grid, see :meth:`MachineProfile.cost_ns`) and their
-    float-nanosecond images — so the default charge path pays one dict
-    lookup and one integer clock add instead of a method call and a float
-    round-trip.
-
-    With :meth:`enable_batching` (``FeatureFlags.cost_batching``) charges
-    accumulate into a pending-units integer scalar and a dense per-action
-    count list instead of touching the clock/Counter per call; the clock's
-    flush hook folds pending units in before any timestamp read, and the
-    counts merge lazily on :meth:`count`/:meth:`snapshot`.  Because the
-    accumulator is an integer sum of exact integer charges, batching is
-    **bit-identical** to per-charge advancing — integer addition is
-    associative, so reordering the folds cannot change the result.  The
-    only remaining incompatibility is timing noise, whose jitter must be
-    drawn per charge.
+    Per-action costs are resolved once, at construction, into a flat list
+    of exact integer clock units indexed by :attr:`CostAction.index` (the
+    profile quantizes every cost to the 2\ :sup:`-20` ns grid, see
+    :meth:`MachineProfile.cost_ns`); counts live in a parallel list.  A
+    charge is two list reads, one count add and one integer add onto the
+    clock's unit counter: no enum hashing, no clock method call, no float
+    round trip.  Integer addition is exact, so the clock reads exactly as
+    if every charge had gone through :meth:`VirtualClock.advance` —
+    which is what :class:`NoisyCostModel` does, per charge.
     """
 
-    __slots__ = (
-        "profile", "clock", "counts", "enabled", "tracer", "_ctx",
-        "noise", "noise_rng", "noise_run_factor",
-        "_cost_ns", "_cost_units", "_batching", "_pending_units",
-        "_batch_counts",
-    )
+    __slots__ = ("profile", "clock", "enabled", "tracer", "_ctx",
+                 "_units", "_counts")
 
     def __init__(self, profile: "MachineProfile", clock: "VirtualClock"):
         self.profile = profile
         self.clock = clock
-        self.counts: Counter[CostAction] = Counter()
         self.enabled: bool = True
-        #: precomputed action -> integer clock units (resolves the
-        #: profile's NETWORK_LATENCY special case once, at construction;
-        #: exact because the profile quantizes to the unit grid)
-        self._cost_units: dict[CostAction, int] = {
-            a: round(profile.cost_ns(a) * UNITS_PER_NS) for a in _ACTIONS
-        }
-        #: the float-nanosecond image of ``_cost_units`` (exact — the grid
-        #: is dyadic), used for charge return values and the noise path
-        self._cost_ns: dict[CostAction, float] = {
-            a: u * _INV_UNITS for a, u in self._cost_units.items()
-        }
-        self._batching: bool = False
-        self._pending_units: int = 0
-        self._batch_counts: list[int] = [0] * len(_ACTIONS)
+        #: action index -> integer clock units (resolves the profile's
+        #: NETWORK_LATENCY special case once; exact because the profile
+        #: quantizes to the unit grid)
+        self._units: list[int] = [
+            round(profile.cost_ns(a) * UNITS_PER_NS) for a in _ACTIONS
+        ]
+        #: action index -> times charged
+        self._counts: list[int] = [0] * len(_ACTIONS)
         #: optional repro.sim.trace.Tracer recording the event timeline
         self.tracer = None
         #: back-reference set by RankContext (used only for tracing)
         self._ctx = None
-        #: relative timing jitter (0.0 = deterministic).  Noise is
-        #: one-sided — interference (OS, other processes, coherence
-        #: traffic) only ever *adds* time — which is exactly why the
-        #: paper's estimator keeps the *best* 10 of 20 samples.
-        self.noise: float = 0.0
-        self.noise_rng = None  # seeded random.Random, set with noise
-        #: run-wide interference factor (≥ 1): co-runners/OS activity slow
-        #: a whole sample, not individual instructions.  This correlated
-        #: component is what the top-10-of-N estimator filters out.
-        self.noise_run_factor: float = 1.0
-
-    def _jitter(self, ns: float) -> float:
-        if self.noise and self.noise_rng is not None and ns > 0:
-            per_charge = 1.0 + self.noise * abs(self.noise_rng.gauss(0, 1))
-            return ns * self.noise_run_factor * per_charge
-        return ns
 
     def charge(self, action: CostAction, times: int = 1) -> float:
         """Charge ``times`` occurrences of ``action``; return ns charged."""
         if not self.enabled:
             return 0.0
-        if self._batching:
-            self._batch_counts[_ACTION_INDEX[action]] += times
-            units = self._cost_units[action] * times
-            if units:
-                self._pending_units += units
-            if self.tracer is not None and self._ctx is not None:
-                self.tracer.record(self._ctx, action, times)
-            return units * _INV_UNITS
-        self.counts[action] += times
-        if self.noise:
-            ns = self._jitter(self._cost_ns[action] * times)
-            if ns:
-                self.clock.advance(ns)
-            if self.tracer is not None and self._ctx is not None:
-                self.tracer.record(self._ctx, action, times)
-            return ns
-        units = self._cost_units[action] * times
-        if units:
-            self.clock.advance_units(units)
-        if self.tracer is not None and self._ctx is not None:
+        i = action.index
+        self._counts[i] += times
+        units = self._units[i] * times
+        self.clock._units += units
+        if self.tracer is not None:
             self.tracer.record(self._ctx, action, times)
         return units * _INV_UNITS
 
@@ -267,88 +219,80 @@ class CostModel:
         """Charge a per-byte action scaled by ``nbytes``."""
         if not self.enabled:
             return 0.0
-        if self._batching:
-            self._batch_counts[_ACTION_INDEX[action]] += 1
-            units = self._cost_units[action] * nbytes
-            if units:
-                self._pending_units += units
-            if self.tracer is not None and self._ctx is not None:
-                self.tracer.record(self._ctx, action, 1)
-            return units * _INV_UNITS
-        self.counts[action] += 1
-        if self.noise:
-            ns = self._jitter(self._cost_ns[action] * nbytes)
-            if ns:
-                self.clock.advance(ns)
-            if self.tracer is not None and self._ctx is not None:
-                self.tracer.record(self._ctx, action, 1)
-            return ns
-        units = self._cost_units[action] * nbytes
-        if units:
-            self.clock.advance_units(units)
-        if self.tracer is not None and self._ctx is not None:
+        i = action.index
+        self._counts[i] += 1
+        units = self._units[i] * nbytes
+        self.clock._units += units
+        if self.tracer is not None:
             self.tracer.record(self._ctx, action, 1)
         return units * _INV_UNITS
-
-    # -- batched mode --------------------------------------------------------
-
-    def enable_batching(self) -> None:
-        """Switch to accumulator mode (``FeatureFlags.cost_batching``).
-
-        Charges park integer clock units in :attr:`_pending_units` and
-        counts in the dense :attr:`_batch_counts` list; the clock's flush
-        hook folds the pending units in before any timestamp is observed.
-        Bit-identical to per-charge advancing (integer sums are
-        order-independent).  Incompatible with timing noise: jitter must
-        be drawn per charge, which is the per-charge work batching
-        removes.
-        """
-        if self.noise:
-            raise ValueError(
-                "cost_batching is incompatible with timing noise "
-                "(jitter is drawn per charge)"
-            )
-        self._batching = True
-        self.clock._flush_hook = self._flush_pending
-
-    def _flush_pending(self) -> None:
-        """Fold accumulated pending units into the clock (installed as
-        the clock's flush hook; runs before any ``now_ns`` read)."""
-        units = self._pending_units
-        if units:
-            self._pending_units = 0
-            self.clock._units += units
-
-    def _merge_batched_counts(self) -> None:
-        """Fold the dense batched count list into the ``counts`` Counter."""
-        batch = self._batch_counts
-        if _np is not None:
-            nonzero = _np.nonzero(_np.asarray(batch, dtype=_np.int64))[0]
-        else:  # pragma: no cover - numpy-less fallback
-            nonzero = [i for i, c in enumerate(batch) if c]
-        if len(nonzero) == 0:
-            return
-        counts = self.counts
-        for i in nonzero:
-            counts[_ACTIONS[i]] += batch[i]
-            batch[i] = 0
 
     # -- queries -------------------------------------------------------------
 
     def count(self, action: CostAction) -> int:
         """How many times ``action`` has been charged."""
-        if self._batching:
-            self._merge_batched_counts()
-        return self.counts[action]
+        return self._counts[action.index]
 
     def snapshot(self) -> Counter:
         """A copy of the current action counters (for differential checks)."""
-        if self._batching:
-            self._merge_batched_counts()
-        return Counter(self.counts)
+        return Counter({a: c for a, c in zip(_ACTIONS, self._counts) if c})
 
     def reset_counts(self) -> None:
         """Zero the action counters (clock is left untouched)."""
-        if self._batching:
-            self._batch_counts = [0] * len(_ACTIONS)
-        self.counts.clear()
+        self._counts = [0] * len(_ACTIONS)
+
+
+class NoisyCostModel(CostModel):
+    """The per-charge cost path, with optional one-sided timing jitter.
+
+    Each charge converts its cost to float nanoseconds, scales it by the
+    jitter draw and advances the clock through
+    :meth:`VirtualClock.advance`.  ``RankContext`` builds one when
+    ``RuntimeConfig.noise > 0``; at ``noise=0`` it draws nothing and is
+    the per-charge reference the tests diff :class:`CostModel` against.
+
+    Noise is one-sided — interference (OS, other processes, coherence
+    traffic) only ever *adds* time — which is exactly why the paper's
+    estimator keeps the *best* 10 of 20 samples.
+    """
+
+    __slots__ = ("noise", "noise_rng", "noise_run_factor")
+
+    def __init__(
+        self,
+        profile: "MachineProfile",
+        clock: "VirtualClock",
+        noise: float = 0.0,
+        noise_rng=None,
+        noise_run_factor: float = 1.0,
+    ):
+        super().__init__(profile, clock)
+        #: relative per-charge jitter (0.0 = deterministic)
+        self.noise = noise
+        #: seeded random.Random drawing the per-charge jitter
+        self.noise_rng = noise_rng
+        #: run-wide interference factor (>= 1): co-runners/OS activity
+        #: slow a whole sample, not individual instructions.  This
+        #: correlated component is what the top-10-of-N estimator filters.
+        self.noise_run_factor = noise_run_factor
+
+    def charge(self, action: CostAction, times: int = 1) -> float:
+        return self._advance(action, times, times)
+
+    def charge_bytes(self, action: CostAction, nbytes: int) -> float:
+        return self._advance(action, 1, nbytes)
+
+    def _advance(self, action: CostAction, count: int, scale: int) -> float:
+        if not self.enabled:
+            return 0.0
+        i = action.index
+        self._counts[i] += count
+        ns = self._units[i] * _INV_UNITS * scale
+        if self.noise and self.noise_rng is not None and ns > 0:
+            per_charge = 1.0 + self.noise * abs(self.noise_rng.gauss(0, 1))
+            ns = ns * self.noise_run_factor * per_charge
+        if ns:
+            self.clock.advance(ns)
+        if self.tracer is not None:
+            self.tracer.record(self._ctx, action, count)
+        return ns

@@ -72,9 +72,10 @@ class MachineProfile:
         The returned value is quantized to the virtual clock's fixed-point
         grid (:data:`repro.sim.clock.UNITS_PER_NS` units per nanosecond,
         a power of two), so every charge is an exact integer number of
-        clock units.  That exactness is what makes batched cost
-        accumulation (``FeatureFlags.cost_batching``) bit-identical to
-        per-charge advancing: integer addition is associative.  The grid
+        clock units.  That exactness is what lets
+        :class:`~repro.sim.costmodel.CostModel` add a charge's integer
+        units straight onto the clock while staying bit-identical to
+        advancing it through the float API per charge.  The grid
         is ~1e-6 ns, far below any modeled cost, so the calibrated shape
         claims are untouched; dyadic table entries (the common case) pass
         through unchanged.

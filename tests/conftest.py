@@ -8,6 +8,8 @@ segments, clocks and counters.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.runtime.config import RuntimeConfig, Version, flags_for
@@ -17,6 +19,7 @@ from repro.runtime.context import (
     set_current_ctx,
 )
 from repro.runtime.runtime import build_world
+from repro.sim.costmodel import NoisyCostModel
 
 ALL_VERSIONS = (
     Version.V2021_3_0,
@@ -90,6 +93,17 @@ def progress_adaptive_flags(version=VD, **kw):
     )
     defaults.update(kw)
     return flags_for(version).replace(**defaults)
+
+
+@contextlib.contextmanager
+def per_charge_costs():
+    """Build every rank's cost model as the per-charge reference
+    (:class:`NoisyCostModel` at noise 0, which advances the clock through
+    its float API one charge at a time) instead of the dense default —
+    the oracle the bit-identity pins diff :class:`CostModel` against."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.runtime.context.CostModel", NoisyCostModel)
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -1,9 +1,13 @@
 """Unit tests for the cost model and machine profiles."""
 
-import pytest
+from collections import Counter
 
-from repro.sim.clock import VirtualClock
-from repro.sim.costmodel import CostAction, CostModel
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.clock import UNITS_PER_NS, VirtualClock
+from repro.sim.costmodel import CostAction, CostModel, NoisyCostModel
 from repro.sim.machines import (
     GENERIC,
     IBM,
@@ -59,6 +63,98 @@ class TestCharge:
         model.reset_counts()
         assert model.count(CostAction.CPU_LOAD) == 0
         assert model.clock.now_ns == t
+
+    def test_clock_setter_overrides_earlier_charges(self, ctx):
+        """Setting a rank's clock wins over every charge made before it
+        (none may be parked and folded in after the write)."""
+        for _ in range(1000):
+            ctx.charge(CostAction.MEMCPY_8B)
+        ctx.clock.now_ns = 5.0
+        assert ctx.clock.now_ns == 5.0
+        ctx.charge(CostAction.MEMCPY_8B)
+        assert ctx.clock.now_ns == 5.0 + ctx.profile.cost_ns(
+            CostAction.MEMCPY_8B
+        )
+
+
+PROFILES = (INTEL, IBM, MARVELL, GENERIC)
+
+
+class TestDenseTables:
+    def test_dense_action_index(self):
+        actions = tuple(CostAction)
+        assert [a.index for a in actions] == list(range(len(actions)))
+        assert all(CostAction[a.name] is a for a in actions)
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+    def test_unit_table_matches_profile(self, profile):
+        model = CostModel(profile, VirtualClock())
+        for a in CostAction:
+            assert model._units[a.index] == round(
+                profile.cost_ns(a) * UNITS_PER_NS
+            ), a
+        assert model._units[CostAction.NETWORK_LATENCY.index] == round(
+            profile.network_latency_ns * UNITS_PER_NS
+        )
+
+    def test_snapshot_type(self, model):
+        model.charge(CostAction.CPU_LOAD, times=3)
+        snap = model.snapshot()
+        assert type(snap) is Counter
+        assert snap == Counter({CostAction.CPU_LOAD: 3})
+
+
+# one step of a random cost-model call sequence: (op, action, n)
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("charge", "charge_bytes", "count", "snapshot", "reset",
+             "read", "advance", "advance_to")
+        ),
+        st.sampled_from(tuple(CostAction)),
+        st.integers(min_value=0, max_value=4096),
+    ),
+    max_size=60,
+)
+
+
+class TestDenseMatchesPerCharge:
+    """The dense model against the per-charge reference (the noisy model
+    at noise 0) and a plain ``Counter``, on every machine profile."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(profile=st.sampled_from(PROFILES), steps=_STEPS)
+    def test_random_call_sequences_identical(self, profile, steps):
+        dense = CostModel(profile, VirtualClock())
+        ref = NoisyCostModel(profile, VirtualClock())
+        expected = Counter()
+        for op, action, n in steps:
+            if op == "charge":
+                assert dense.charge(action, n) == ref.charge(action, n)
+                expected[action] += n
+            elif op == "charge_bytes":
+                assert dense.charge_bytes(action, n) == ref.charge_bytes(
+                    action, n
+                )
+                expected[action] += 1
+            elif op == "count":
+                assert dense.count(action) == ref.count(action)
+                assert dense.count(action) == expected[action]
+            elif op == "snapshot":
+                assert dense.snapshot() == ref.snapshot() == expected
+            elif op == "reset":
+                dense.reset_counts()
+                ref.reset_counts()
+                expected.clear()
+            elif op == "read":
+                assert dense.clock.now_ns == ref.clock.now_ns
+            elif op == "advance":
+                assert dense.clock.advance(n / 8) == ref.clock.advance(n / 8)
+            else:
+                t = ref.clock.now_ns + n - 2048
+                assert dense.clock.advance_to(t) == ref.clock.advance_to(t)
+            assert dense.clock._units == ref.clock._units
+        assert dense.snapshot() == ref.snapshot() == expected
 
 
 class TestProfiles:

@@ -24,6 +24,8 @@ from repro.fuzz.runner import _fuzz_body, mode_flags, run_program
 from repro.runtime.config import Version, flags_for
 from repro.runtime.runtime import spmd_run
 from repro.runtime.switchpoints import YIELD_NOW, BlockUntil
+from repro.sim.costmodel import CostAction, CostModel, NoisyCostModel
+from tests.conftest import per_charge_costs
 
 TERMINALS = ("deadlock", "fail")
 
@@ -390,57 +392,72 @@ class TestFuzzParity:
 
 
 class TestCostBatching:
-    """cost_batching (default-on) accumulates exact integer clock units,
-    so toggling the opt-out knob is *bit-identical*: same counts, same
-    clocks, no tolerance — the integer accumulator is order-independent."""
+    """The dense cost model adds each charge's exact integer clock units
+    straight onto the clock, so it is *bit-identical* to the per-charge
+    reference (the noisy model at noise 0, advancing through the float
+    clock API): same results, counts, clocks and switch traces, no
+    tolerance."""
 
     def test_counts_identical_and_clocks_bit_identical(self):
         from repro.apps.gups import GupsConfig, run_gups
 
         cfg = GupsConfig(variant="rma_promise", table_log2=8,
                          updates_per_rank=32, batch=8)
-        base = _flags(sched_event_loop=True, cost_batching=False)
-        r_plain = run_gups(cfg, ranks=4, machine="generic", flags=base)
-        r_batch = run_gups(
-            cfg, ranks=4, machine="generic",
-            flags=dataclasses.replace(base, cost_batching=True),
-        )
-        assert r_batch.checksum == r_plain.checksum
-        assert r_batch.solve_ns == r_plain.solve_ns
+        flags = _flags(sched_event_loop=True)
+        with per_charge_costs():
+            r_plain = run_gups(cfg, ranks=4, machine="generic", flags=flags)
+        r_dense = run_gups(cfg, ranks=4, machine="generic", flags=flags)
+        assert r_dense.checksum == r_plain.checksum
+        assert r_dense.solve_ns == r_plain.solve_ns
 
     def test_counts_merge_lazily(self):
-        from repro.fuzz.runner import _fuzz_body
-
+        """Per-rank counts, clocks and switch traces of a fuzz program
+        match the per-charge reference on both substrates."""
         program = generate_program(7)
         kw = dict(ranks=program.ranks, machine="generic",
                   conduit=program.conduit, n_nodes=program.n_nodes,
                   seed=program.seed, args=(program,))
-        r_plain = spmd_run(
-            _fuzz_body, flags=_flags(cost_batching=False), **kw
-        )
-        r_batch = spmd_run(
-            _fuzz_body, flags=_flags(cost_batching=True), **kw
-        )
-        for cp, cb in zip(r_plain.world.contexts, r_batch.world.contexts):
-            assert cb.costs.snapshot() == cp.costs.snapshot()
-            assert cb.clock.now_ns == cp.clock.now_ns
+        for flags in (_flags(), _flags(sched_event_loop=True)):
+            tr_plain, tr_dense = [], []
+            with per_charge_costs():
+                r_plain = spmd_run(_fuzz_body, flags=flags,
+                                   switch_trace=tr_plain, **kw)
+            r_dense = spmd_run(_fuzz_body, flags=flags,
+                               switch_trace=tr_dense, **kw)
+            assert all(type(c.costs) is NoisyCostModel
+                       for c in r_plain.world.contexts)
+            assert all(type(c.costs) is CostModel
+                       for c in r_dense.world.contexts)
+            assert r_dense.values == r_plain.values
+            assert tr_dense == tr_plain
+            for cp, cd in zip(r_plain.world.contexts, r_dense.world.contexts):
+                assert cd.costs.snapshot() == cp.costs.snapshot()
+                assert cd.clock._units == cp.clock._units
 
     def test_noise_auto_disables_default_batching(self):
-        """``noise`` with flags=None quietly resolves to batching-off
-        (jitter needs per-charge draws); only an *explicit* batching flag
-        combined with noise is an error."""
+        """``noise`` on a default build selects the per-charge noisy
+        model (jitter is drawn per charge)."""
         def body():
             return 0
 
         r = spmd_run(body, ranks=2, noise=0.1, seed=3)
         assert r.values == [0, 0]
+        assert all(type(c.costs) is NoisyCostModel for c in r.world.contexts)
 
-    def test_noise_is_rejected(self):
-        from repro.errors import UpcxxError
-
+    def test_noise_with_explicit_flags(self):
+        """Explicit flags plus noise run the same noisy model as the
+        default build: same jitter draws, same clocks."""
         def body():
-            return 0
+            ctx = current_ctx()
+            for _ in range(50):
+                ctx.charge(CostAction.HEAP_ALLOC_PROMISE_CELL)
+            return ctx.clock.now_ns
 
-        with pytest.raises(UpcxxError, match="cost_batching"):
-            spmd_run(body, ranks=2, noise=0.1,
-                     flags=_flags(cost_batching=True))
+        r_default = spmd_run(body, ranks=2, noise=0.1, seed=3)
+        r_explicit = spmd_run(body, ranks=2, noise=0.1, seed=3,
+                              flags=_flags())
+        assert r_explicit.values == r_default.values
+        noiseless = 50 * r_default.world.contexts[0].profile.cost_ns(
+            CostAction.HEAP_ALLOC_PROMISE_CELL
+        )
+        assert min(r_default.values) > noiseless

@@ -37,20 +37,22 @@ and aggregation axes — that is the paper's whole subject — so no
 cross-axis timing equality is asserted beyond the rows above.
 
 Two further axis families are swept separately below: the mechanism
-flags (``sched_wake_list``, ``cost_batching`` — pure implementation
-strategies, bit-identical on every observable) and ``cx_continuations``
-(a *gate* on the continuation/counter completion kinds: bit-identical
-for workloads that request neither, documented expectations for the
-``cont`` workload that does).
+axes (``sched_wake_list`` and the per-charge reference cost model — pure
+implementation strategies, bit-identical on every observable) and
+``cx_continuations`` (a *gate* on the continuation/counter completion
+kinds: bit-identical for workloads that request neither, documented
+expectations for the ``cont`` workload that does).
 """
 
 import itertools
 
 import pytest
 
+from repro.apps import gups
 from repro.apps.gups import GupsConfig, run_gups
 from repro.runtime.config import flags_for
-from tests.conftest import VD, VE
+from repro.runtime.runtime import spmd_run
+from tests.conftest import VD, VE, per_charge_costs
 
 AXES = (
     "am_aggregation",
@@ -167,12 +169,16 @@ class TestMatrix:
                 assert hinted.am_injects == base.am_injects, (version, on)
 
 
-# Scheduler-mechanism axes: ``sched_wake_list`` and ``cost_batching`` are
-# pure implementation strategies — toggling either must be bit-identical
-# on *every* observable (timing included), unlike the semantic axes above
-# where only checksums are pinned.  Swept against a smaller base matrix
-# (the three flags that most reshape scheduling/progress behavior, on
-# both scheduler substrates) to keep the run count reasonable.
+# Scheduler-mechanism axes: ``sched_wake_list`` and the cost model are
+# pure implementation strategies — swapping either must be bit-identical
+# on *every* observable (per-rank results, clocks, action counts and the
+# switch trace), unlike the semantic axes above where only checksums are
+# pinned.  The ``scan`` variant turns ``sched_wake_list`` off; the
+# ``per_charge`` variant builds every rank's cost model as the per-charge
+# reference (``NoisyCostModel`` at noise 0) instead of the dense default.
+# Swept against a smaller base matrix (the three flags that most reshape
+# scheduling/progress behavior, on both scheduler substrates) to keep the
+# run count reasonable.
 MECH_BASE_AXES = (
     "am_aggregation",
     "progress_adaptive",
@@ -181,18 +187,45 @@ MECH_BASE_AXES = (
 )
 
 
+def _observe(flags, version):
+    """Run the matrix's GUPS cell and keep every observable."""
+    runs = []
+
+    def traced_spmd_run(*args, **kw):
+        trace = []
+        res = spmd_run(*args, switch_trace=trace, **kw)
+        runs.append((res, trace))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gups, "spmd_run", traced_spmd_run)
+        r = run_gups(
+            CFG,
+            ranks=4,
+            n_nodes=2,
+            conduit="udp",
+            version=version,
+            machine="generic",
+            flags=flags,
+        )
+    (res, trace), = runs
+    contexts = res.world.contexts
+    return {
+        "result": (r.solve_ns, r.checksum, r.am_injects, r.progress_polls),
+        "values": [(v[0], v[1], v[2].tolist()) for v in res.values],
+        "clocks": [c.clock._units for c in contexts],
+        "counts": [c.costs.snapshot() for c in contexts],
+        "trace": trace,
+    }
+
+
 class TestMechanismFlagsBitIdentical:
     @pytest.fixture(scope="class")
     def mech_matrix(self):
-        """(version, on-set, variant) -> result, where variant is
-        ``base`` (defaults: wake list + batching on), ``scan``
-        (sched_wake_list off), or ``unbatched`` (cost_batching off)."""
+        """(version, on-set, variant) -> observables, where variant is
+        ``base`` (defaults: wake list on, dense cost model), ``scan``
+        (sched_wake_list off), or ``per_charge`` (reference cost model)."""
         results = {}
-        variants = {
-            "base": {},
-            "scan": {"sched_wake_list": False},
-            "unbatched": {"cost_batching": False},
-        }
         for version in (VE, VD):
             for bits in itertools.product(
                 (False, True), repeat=len(MECH_BASE_AXES)
@@ -200,19 +233,16 @@ class TestMechanismFlagsBitIdentical:
                 on = {
                     name for name, bit in zip(MECH_BASE_AXES, bits) if bit
                 }
-                for vname, overrides in variants.items():
-                    flags = flags_for(version).replace(
-                        **{name: True for name in on}, **overrides
-                    )
-                    results[(version, frozenset(on), vname)] = run_gups(
-                        CFG,
-                        ranks=4,
-                        n_nodes=2,
-                        conduit="udp",
-                        version=version,
-                        machine="generic",
-                        flags=flags,
-                    )
+                flags = flags_for(version).replace(
+                    **{name: True for name in on}
+                )
+                key = (version, frozenset(on))
+                results[key + ("base",)] = _observe(flags, version)
+                results[key + ("scan",)] = _observe(
+                    flags.replace(sched_wake_list=False), version
+                )
+                with per_charge_costs():
+                    results[key + ("per_charge",)] = _observe(flags, version)
         return results
 
     def _assert_identical(self, mech_matrix, variant):
@@ -221,16 +251,14 @@ class TestMechanismFlagsBitIdentical:
                 continue
             other = mech_matrix[(version, on, variant)]
             key = (version, sorted(on))
-            assert other.solve_ns == res.solve_ns, key
-            assert other.checksum == res.checksum, key
-            assert other.am_injects == res.am_injects, key
-            assert other.progress_polls == res.progress_polls, key
+            for observable, value in res.items():
+                assert other[observable] == value, (observable, key)
 
     def test_wake_list_bit_identical(self, mech_matrix):
         self._assert_identical(mech_matrix, "scan")
 
     def test_cost_batching_bit_identical(self, mech_matrix):
-        self._assert_identical(mech_matrix, "unbatched")
+        self._assert_identical(mech_matrix, "per_charge")
 
 
 # The ``cx_continuations`` axis: the flag *gates* two new completion

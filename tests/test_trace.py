@@ -1,7 +1,10 @@
 """Tests for the execution tracer."""
 
+import pytest
+
 from repro import new_, rput
-from repro.runtime.config import Version
+from repro.runtime.config import RuntimeConfig, Version
+from repro.runtime.runtime import build_world
 from repro.sim.costmodel import CostAction
 from repro.sim.trace import Tracer
 
@@ -15,6 +18,25 @@ class TestRecording:
         ctx.charge(CostAction.CPU_LOAD)
         assert len(tr) == 1
         assert tr.events[0].action is CostAction.CPU_LOAD
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_attach_after_construction_records_every_charge(self, noise):
+        c = build_world(RuntimeConfig(noise=noise)).contexts[0]
+        tr = Tracer()
+        tr.attach(c)
+        c.charge(CostAction.CPU_LOAD, times=3)
+        c.charge_bytes(CostAction.MEMCPY_PER_BYTE, 64)
+        c.costs.charge(CostAction.CPU_STORE)
+        t_last = c.clock.now_ns
+        tr.detach(c)
+        c.charge(CostAction.CPU_LOAD)
+        c.charge_bytes(CostAction.MEMCPY_PER_BYTE, 8)
+        assert [(e.action, e.times) for e in tr.events] == [
+            (CostAction.CPU_LOAD, 3),
+            (CostAction.MEMCPY_PER_BYTE, 1),
+            (CostAction.CPU_STORE, 1),
+        ]
+        assert tr.events[-1].t_ns == t_last
 
     def test_timestamps_monotone(self, ctx):
         tr = Tracer()
