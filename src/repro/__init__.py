@@ -22,9 +22,9 @@ paper's listings)::
 
     spmd_run(main, ranks=4, version=Version.V2021_3_6_EAGER)
 
-Everything runs inside a simulated SPMD world (one cooperatively scheduled
-thread per rank) with virtual-time cost accounting; see DESIGN.md for the
-reproduction methodology.
+Everything runs inside a simulated SPMD world (all ranks cooperatively
+scheduled on one event loop) with virtual-time cost accounting; see
+DESIGN.md for the reproduction methodology.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ def barrier() -> None:
 
 def barrier_gen():
     """Generator form of :func:`barrier` for continuation rank bodies:
-    ``yield from barrier_gen()``.  Runs on both scheduler substrates (the
-    event loop interprets the yields in place; rank threads drive them
-    through the blocking primitives)."""
+    ``yield from barrier_gen()``.  The event loop interprets the yields in
+    place; :func:`barrier` drives the same generator through the blocking
+    primitives."""
     return current_ctx().barrier_gen()
 
 

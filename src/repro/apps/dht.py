@@ -118,7 +118,7 @@ class DistributedHashMap:
         """Insert or update ``key`` (nonzero); waits for completion.
 
         Blocking wrapper over :meth:`insert_gen` — one implementation,
-        identical charge sequence on both scheduler substrates.
+        identical charge sequence for generator and blocking callers.
         """
         return run_blocking(self.ctx, self.insert_gen(key, value, comps))
 
@@ -218,9 +218,7 @@ def _dht_keys(cfg: DhtConfig, rank: int) -> list[int]:
 
 def _dht_body_gen(cfg: DhtConfig):
     """The SPMD body as a generator continuation (``yield from`` at every
-    blocking construct), so the event-loop scheduler resumes it in place;
-    :func:`_dht_body` drives this same generator on blocking substrates —
-    one body, both paths, identical charge sequences."""
+    blocking construct), so the event-loop scheduler resumes it in place."""
     ctx = current_ctx()
     me = rank_me()
     table = DistributedHashMap(cfg.log2_slots)
@@ -255,12 +253,6 @@ def _dht_body_gen(cfg: DhtConfig):
     return solve_ns, hits, table.local_items()
 
 
-def _dht_body(cfg: DhtConfig):
-    """Blocking form of the body (rides the thread-shim on the event-loop
-    substrate) — kept as the parity oracle for the continuation port."""
-    return run_blocking(current_ctx(), _dht_body_gen(cfg))
-
-
 def run_dht(
     cfg: DhtConfig,
     *,
@@ -268,15 +260,8 @@ def run_dht(
     version: Version = Version.V2021_3_6_EAGER,
     machine: str = "intel",
     flags=None,
-    continuation: bool = True,
 ) -> DhtResult:
-    """Run the DHT workload; correctness = every lookup hit.
-
-    ``continuation=True`` (default) passes the generator body so the
-    event-loop scheduler runs each rank as an in-place continuation;
-    ``False`` forces the blocking wrapper (thread-shim path) — the parity
-    tests compare the two.
-    """
+    """Run the DHT workload; correctness = every lookup hit."""
     total_keys = cfg.inserts_per_rank * ranks
     if total_keys * 2 > (1 << cfg.log2_slots):
         raise UpcxxError(
@@ -284,9 +269,8 @@ def run_dht(
             f"({total_keys} keys, {1 << cfg.log2_slots} slots)"
         )
     seg = max(1 << 17, (1 << cfg.log2_slots) // ranks * 16 * 4)
-    body = _dht_body_gen if continuation else (lambda c: _dht_body(c))
     res = spmd_run(
-        body,
+        _dht_body_gen,
         args=(cfg,),
         ranks=ranks,
         version=version,

@@ -281,10 +281,7 @@ def _gups_body(cfg: GupsConfig):
     """The SPMD body; returns this rank's xor over its owned table part.
 
     Written as a generator continuation (``yield from`` at every blocking
-    construct) so the event-loop scheduler resumes it in place; under the
-    thread scheduler the rank thread's trampoline drives the same
-    generator through the blocking primitives — one body, both substrates,
-    identical charge sequences.
+    construct) so the event-loop scheduler resumes it in place.
     """
     ctx = current_ctx()
     me, p = rank_me(), rank_n()
@@ -537,8 +534,8 @@ def _run_cont(ctx, cfg, bases, per_rank, stream):
     shared done counter — no future or promise cell is allocated, and the
     completion never parks on the deferred queue: it dispatches at
     whichever agent first observes the ack.  The batch drain spins on the
-    counter (yielding to the scheduler between polls so the event-loop
-    substrate stays live), then runs the same idle polling segment as
+    counter (yielding to the scheduler between polls so the other ranks
+    stay live), then runs the same idle polling segment as
     ``prog_adaptive``.  Exactness as for ``prog_adaptive``: atomics never
     race within an update and every batch ends fully drained.
     """
@@ -591,6 +588,21 @@ _VARIANT_BODIES = {
 # ---------------------------------------------------------------------------
 
 
+def gups_spmd_kwargs(
+    cfg: GupsConfig, ranks: int, noise_seed: int = 0
+) -> dict:
+    """The ``spmd_run`` keywords a GUPS job derives from ``cfg``: the body's
+    args, the world seed and a segment sized for the local table slice."""
+    n = 1 << cfg.table_log2
+    return dict(
+        args=(cfg,),
+        # the world seed only feeds timing jitter; the update streams are
+        # derived from cfg.seed, so noisy samples share one workload
+        seed=cfg.seed + 7919 * noise_seed,
+        segment_bytes=max(1 << 16, (n // ranks + cfg.batch + 64) * 8 * 2),
+    )
+
+
 def run_gups(
     cfg: GupsConfig,
     *,
@@ -610,26 +622,20 @@ def run_gups(
     ``n_nodes > 1`` spreads the ranks over several simulated nodes (the
     off-node regime the ``agg`` variant targets; pick a non-smp conduit).
     """
-    n = 1 << cfg.table_log2
-    seg_bytes = max(1 << 16, (n // ranks + cfg.batch + 64) * 8 * 2)
     if cfg.variant == "cont" and not (flags and flags.cx_continuations):
         # the cont variant is unusable without continuation completions;
         # enable the flag on top of whatever else the caller configured
         flags = (flags or flags_for(version)).replace(cx_continuations=True)
     res: SpmdResult = spmd_run(
         _gups_body,
-        args=(cfg,),
         ranks=ranks,
         version=version,
         machine=machine,
         conduit=conduit,
         n_nodes=n_nodes,
-        # the world seed only feeds timing jitter; the update streams are
-        # derived from cfg.seed, so noisy samples share one workload
-        seed=cfg.seed + 7919 * noise_seed,
-        segment_bytes=seg_bytes,
         flags=flags,
         noise=noise,
+        **gups_spmd_kwargs(cfg, ranks, noise_seed),
     )
     agg = aggregation_stats(res.world)
     obs_snaps = tuple(observability_snapshots(res.world))

@@ -54,7 +54,6 @@ from repro.errors import UpcxxError
 from repro.memory.global_ptr import GlobalPtr
 from repro.runtime.config import Version
 from repro.runtime.runtime import spmd_run
-from repro.runtime.switchpoints import run_blocking
 from repro.sim.costmodel import CostAction
 
 _PROPOSE = 1
@@ -191,8 +190,8 @@ class _RankSolver:
         optimization), RMA mailbox for co-located/remote processes.
 
         A generator (the slot claim blocks on a future) — every caller in
-        the solve chain is itself a generator, so the continuation
-        substrate resumes the whole stack in place via ``yield from``.
+        the solve chain is itself a generator, so the event loop resumes
+        the whole stack in place via ``yield from``.
         """
         if dst_rank == self.me:
             self.ctx.charge(CostAction.CPU_STORE)
@@ -305,8 +304,7 @@ class _RankSolver:
 
     def solve_gen(self):
         """The solve loop as a generator continuation (``yield from`` at
-        every blocking construct); :meth:`solve` drives this same
-        generator on blocking substrates."""
+        every blocking construct)."""
         ctx = self.ctx
         yield from barrier_gen()
         ctx.clock.mark("solve")
@@ -344,19 +342,10 @@ class _RankSolver:
         solve_ns = ctx.clock.elapsed_since("solve")
         return solve_ns, rounds, total_cross, dict(self.mate)
 
-    def solve(self) -> tuple[float, int, int, dict[int, int]]:
-        """Blocking wrapper over :meth:`solve_gen` (thread-shim path)."""
-        return run_blocking(self.ctx, self.solve_gen())
-
 
 def _matching_body_gen(g: Graph, cfg: MatchingConfig):
-    """Generator SPMD body — the event-loop continuation fast path."""
+    """Generator SPMD body: each rank's solver as a continuation."""
     return (yield from _RankSolver(g, cfg).solve_gen())
-
-
-def _matching_body(g: Graph, cfg: MatchingConfig):
-    """Blocking SPMD body — the parity oracle for the continuation port."""
-    return _RankSolver(g, cfg).solve()
 
 
 def run_matching(
@@ -368,15 +357,11 @@ def run_matching(
     conduit: str = "mpi",
     graph: Optional[Graph] = None,
     flags=None,
-    continuation: bool = True,
 ) -> MatchingResult:
     """Run the distributed matching solve and collect the global result.
 
     ``conduit`` defaults to mpi, matching the paper's setup for this
-    application.  ``continuation=True`` (default) passes the generator
-    body so the event-loop scheduler runs each rank as an in-place
-    continuation; ``False`` forces the blocking wrapper (thread-shim
-    path) — the parity tests compare the two.
+    application.
     """
     g = graph if graph is not None else cfg.build_graph()
     incident_max = max(
@@ -386,11 +371,8 @@ def run_matching(
     seg_bytes = 8 * (
         4 * per * max(1, incident_max) + cfg.mailbox_slack + 4096
     )
-    body = _matching_body_gen if continuation else (
-        lambda gg, cc: _matching_body(gg, cc)
-    )
     res = spmd_run(
-        body,
+        _matching_body_gen,
         args=(g, cfg),
         ranks=ranks,
         version=version,

@@ -179,7 +179,7 @@ def cmd_sched(args) -> None:
     )
     head = doc["headline"]
     print(
-        f"storm speedup (event vs thread):   "
+        f"storm speedup (cont vs shim):      "
         f"{head['storm_speedup_min']:.1f}x .. {head['storm_speedup_max']:.1f}x"
     )
     print(
@@ -189,7 +189,7 @@ def cmd_sched(args) -> None:
         f"({head['blocked_1024_wake_switches_per_s']} switches/s at 1024)"
     )
     print(
-        f"gups speedup (event vs thread):    "
+        f"gups speedup (cont vs shim):       "
         f"{head['gups_speedup_min']:.1f}x .. {head['gups_speedup_max']:.1f}x"
     )
     print(f"wrote {out}")
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sched",
-        help="scheduler substrate benchmark (thread vs event loop) "
+        help="scheduler benchmark (continuation vs thread-shim bodies) "
         "-> BENCH_sched.json",
     )
     artifact_io(

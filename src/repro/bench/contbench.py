@@ -18,10 +18,8 @@ dispatched, :class:`repro.obs.span.GapStats`):
   headline this artifact pins: ``cont`` mean gap strictly below the
   future path's at every batch size.
 
-Every cell runs on both scheduler substrates and asserts bit-identical
-checksums and virtual clocks (the benchmark doubles as a parity smoke
-test), and every variant's result must pass HPCC verification exactly
-(atomics never race within an update).
+Every variant's result must pass HPCC verification exactly (atomics
+never race within an update).
 
 The future-vs-cont comparison itself now runs on the shared A/B engine
 (:mod:`repro.bench.ab`, spec ``cont_future`` — ``cx_continuations`` is
@@ -32,14 +30,10 @@ which are descriptive context rather than an arm of the experiment.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
-import time
 
-from repro.apps.gups import GupsConfig, run_gups
 from repro.bench import ab as _ab
-from repro.runtime.config import Version, flags_for
 
 #: batch sizes of the sweep (updates per tracked batch)
 BATCH_SWEEP = (8, 16, 32, 64)
@@ -56,69 +50,6 @@ def _mean_update_gap(stats) -> tuple[float, int]:
     """Weighted mean notification gap over the operation spans (moved to
     :func:`repro.bench.ab.mean_update_gap`; re-exported for callers)."""
     return _ab.mean_update_gap(stats)
-
-
-def cont_cell(
-    variant: str,
-    gups_variant: str,
-    batch: int,
-    *,
-    ranks: int,
-    updates_per_rank: int,
-    version: Version = Version.V2021_3_6_DEFER,
-    machine: str = "intel",
-) -> dict:
-    """One (variant, batch) cell, run on both scheduler substrates with
-    parity asserted; returns the artifact row."""
-    cfg = GupsConfig(
-        variant=gups_variant, table_log2=12,
-        updates_per_rank=updates_per_rank, batch=batch,
-    )
-    base = flags_for(version)
-    # the flag is on for every cell (not just cont) so the only variable
-    # across rows is the tracking idiom — flag-on with no continuation
-    # requests is bit-identical to flag-off by construction
-    fl_th = dataclasses.replace(base, cx_continuations=True, obs_spans=True)
-    fl_ev = dataclasses.replace(fl_th, sched_event_loop=True)
-    out = {}
-    for sub, fl in (("thread", fl_th), ("event", fl_ev)):
-        t0 = time.perf_counter()
-        r = run_gups(
-            cfg, ranks=ranks, version=version, machine=machine, flags=fl
-        )
-        out[sub] = (time.perf_counter() - t0, r)
-    th_s, th_r = out["thread"]
-    ev_s, ev_r = out["event"]
-    if th_r.checksum != ev_r.checksum or th_r.solve_ns != ev_r.solve_ns:
-        raise AssertionError(
-            f"cont parity: substrates disagree on {variant}/{batch} "
-            f"(checksum {th_r.checksum} vs {ev_r.checksum}, "
-            f"solve_ns {th_r.solve_ns} vs {ev_r.solve_ns})"
-        )
-    if not th_r.matches_oracle:
-        raise AssertionError(
-            f"cont bench: {variant}/{batch} failed verification"
-        )
-    mean_gap, gap_count = _mean_update_gap(th_r.obs_stats)
-    gap_modes = sorted(
-        {mode for (mode, _loc) in th_r.obs_stats.gaps if mode != "none"}
-    )
-    return {
-        "variant": variant,
-        "gups_variant": gups_variant,
-        "batch": batch,
-        "ranks": ranks,
-        "updates_per_rank": updates_per_rank,
-        "version": version.value,
-        "machine": machine,
-        "solve_ns": th_r.solve_ns,
-        "gups": round(th_r.gups, 9),
-        "mean_gap_ns": round(mean_gap, 3),
-        "gap_count": gap_count,
-        "gap_modes": gap_modes,
-        "thread_s": round(th_s, 6),
-        "event_s": round(ev_s, 6),
-    }
 
 
 def _legacy_row(
@@ -140,8 +71,7 @@ def _legacy_row(
         "mean_gap_ns": round(m["mean_gap_ns"], 3),
         "gap_count": d["gap_count"],
         "gap_modes": d["gap_modes"],
-        "thread_s": env["thread_s"],
-        "event_s": env["event_s"],
+        "wall_s": env["wall_s"],
     }
 
 

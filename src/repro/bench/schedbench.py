@@ -1,15 +1,16 @@
-"""Scheduler substrate benchmark: thread token-passing vs the event loop.
+"""Scheduler benchmark: generator continuations vs the thread shim.
 
-Measures the two scheduling substrates
-(:class:`~repro.runtime.scheduler.CooperativeScheduler` and
-:class:`~repro.runtime.event_loop.EventLoopScheduler`) on two workload
-families and emits a machine-readable artifact (``BENCH_sched.json``):
+Measures the event-loop scheduler
+(:class:`~repro.runtime.event_loop.EventLoopScheduler`) running the same
+generator rank body two ways — directly, as an in-place continuation, and
+behind a plain ``lambda``, on the per-rank thread shim — and emits a
+machine-readable artifact (``BENCH_sched.json``):
 
 * **storm** — a pure switch-density microbenchmark: every rank yields in a
   tight loop, so wall-clock is scheduler overhead and nothing else.  This
-  is the regime the event loop exists for (a switch is one generator
+  is the regime continuations exist for (a switch is one generator
   ``send`` instead of two thread context switches plus an Event
-  round-trip) and where its ≥5× speedup shows.
+  round-trip) and where their ≥5× speedup shows.
 * **blocked storm** — the blocked-heavy variant: every rank loops over a
   barrier with staggered arrivals, so at any moment nearly every rank is
   *parked*.  This is the regime the wake-list scheduler
@@ -17,17 +18,17 @@ families and emits a machine-readable artifact (``BENCH_sched.json``):
   predicate-scan pick re-evaluates every blocked rank's predicate on
   every switch (O(blocked) per switch, O(ranks²) per barrier round),
   while the wake list promotes exactly the ranks whose completion event
-  fired (O(1) per switch).  Rows compare wake-list on vs off on the
-  event-loop substrate at 16–1024 ranks; the plain **storm** rows above
+  fired (O(1) per switch).  Rows compare wake-list on vs off on
+  continuation bodies at 16–1024 ranks; the plain **storm** rows above
   are all-ready (nobody ever blocks) and guard the other side — the
   wake-list bookkeeping must not slow the no-blocking fast path.
 * **gups** — the existing §IV-B sweep cells plus a strong-scaling
   extension to 1024 ranks.  These rows are reported honestly: op-dense
   GUPS wall-clock is dominated by simulating the RMA operations
-  themselves (identical Python work on both substrates), so the substrate
-  speedup there is bounded well below the storm numbers.  The event
-  loop's win on GUPS is capability, not per-cell wall-clock: 1024-rank
-  runs without 1024 OS threads.
+  themselves (identical Python work for both body styles), so the
+  continuation speedup there is bounded well below the storm numbers.
+  The win on GUPS is capability, not per-cell wall-clock: 1024-rank runs
+  without 1024 OS threads.
 
 Every row cross-checks its two configurations (equal switch counts for
 the storms, equal checksums and virtual clocks for GUPS) — the benchmark
@@ -40,11 +41,11 @@ import dataclasses
 import json
 import sys
 import time
-from typing import Optional
 
 from repro import barrier_gen, current_ctx, rank_me
-from repro.apps.gups import GupsConfig, run_gups
+from repro.apps.gups import GupsConfig, _gups_body, gups_spmd_kwargs
 from repro.runtime.config import Version, flags_for
+from repro.runtime.event_loop import as_shim
 from repro.runtime.runtime import spmd_run
 from repro.runtime.switchpoints import YIELD_NOW
 from repro.sim.costmodel import CostAction
@@ -91,24 +92,27 @@ def _time_spmd(fn, *, ranks, flags, repeats: int, **kw):
 def storm_row(ranks: int, iters: int, *, repeats: int = 3) -> dict:
     ver = Version.V2021_3_6_EAGER
     base = flags_for(ver)
-    fl_ev = dataclasses.replace(base, sched_event_loop=True)
     body = _storm_body(iters)
     kw = dict(version=ver, machine="generic", segment_bytes=1 << 12)
-    th_s, th_sw, _ = _time_spmd(body, ranks=ranks, flags=base, repeats=repeats, **kw)
-    ev_s, ev_sw, _ = _time_spmd(body, ranks=ranks, flags=fl_ev, repeats=repeats, **kw)
-    if th_sw != ev_sw:
+    sh_s, sh_sw, _ = _time_spmd(
+        as_shim(body), ranks=ranks, flags=base, repeats=repeats, **kw
+    )
+    ev_s, ev_sw, _ = _time_spmd(
+        body, ranks=ranks, flags=base, repeats=repeats, **kw
+    )
+    if sh_sw != ev_sw:
         raise AssertionError(
             f"storm parity: switch counts differ at {ranks} ranks "
-            f"(thread {th_sw}, event {ev_sw})"
+            f"(shim {sh_sw}, continuation {ev_sw})"
         )
     return {
         "ranks": ranks,
         "yields_per_rank": iters,
         "switches": ev_sw,
-        "thread_s": round(th_s, 6),
+        "shim_s": round(sh_s, 6),
         "event_s": round(ev_s, 6),
-        "speedup": round(th_s / ev_s, 2),
-        "thread_switches_per_s": round(th_sw / th_s),
+        "speedup": round(sh_s / ev_s, 2),
+        "shim_switches_per_s": round(sh_sw / sh_s),
         "event_switches_per_s": round(ev_sw / ev_s),
     }
 
@@ -129,17 +133,13 @@ def _blocked_storm_body(rounds: int):
 def blocked_storm_row(ranks: int, rounds: int, *, repeats: int = 3) -> dict:
     """Wake-list vs predicate-scan on a blocked-heavy barrier storm.
 
-    Runs on the event-loop substrate (the thread substrate cannot reach
-    1024 ranks); the only variable is ``sched_wake_list``.  Switch counts
-    must match exactly — the wake list is a pure pick-mechanism swap."""
+    Runs continuation bodies; the only variable is ``sched_wake_list``.
+    Switch counts must match exactly — the wake list is a pure
+    pick-mechanism swap."""
     ver = Version.V2021_3_6_EAGER
     base = flags_for(ver)
-    fl_wake = dataclasses.replace(
-        base, sched_event_loop=True, sched_wake_list=True
-    )
-    fl_scan = dataclasses.replace(
-        base, sched_event_loop=True, sched_wake_list=False
-    )
+    fl_wake = dataclasses.replace(base, sched_wake_list=True)
+    fl_scan = dataclasses.replace(base, sched_wake_list=False)
     body = _blocked_storm_body(rounds)
     kw = dict(version=ver, machine="generic", segment_bytes=1 << 12)
     sc_s, sc_sw, _ = _time_spmd(
@@ -172,33 +172,27 @@ def gups_row(
     ranks: int,
     version: Version,
     machine: str = "intel",
-    conduit: Optional[str] = None,
-    n_nodes: int = 1,
     repeats: int = 1,
 ) -> dict:
+    """The GUPS body as a continuation vs on thread shims, with parity
+    asserted (per-rank solve times and checksums, virtual clocks)."""
+    kw = dict(
+        ranks=ranks, version=version, machine=machine,
+        **gups_spmd_kwargs(cfg, ranks),
+    )
     base = flags_for(version)
-    fl_ev = dataclasses.replace(base, sched_event_loop=True)
-    out = {}
-    for sub, fl in (("thread", base), ("event", fl_ev)):
-        best = None
-        res = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            r = run_gups(
-                cfg, ranks=ranks, version=version, machine=machine,
-                conduit=conduit, n_nodes=n_nodes, flags=fl,
-            )
-            dt = time.perf_counter() - t0
-            if best is None or dt < best:
-                best, res = dt, r
-        out[sub] = (best, res)
-    th_s, th_r = out["thread"]
-    ev_s, ev_r = out["event"]
-    if th_r.checksum != ev_r.checksum or th_r.solve_ns != ev_r.solve_ns:
+    sh_s, _, sh_r = _time_spmd(
+        as_shim(_gups_body), flags=base, repeats=repeats, **kw
+    )
+    ev_s, _, ev_r = _time_spmd(_gups_body, flags=base, repeats=repeats, **kw)
+    sh_v = [v[:2] for v in sh_r.values]
+    ev_v = [v[:2] for v in ev_r.values]
+    sh_clk = [c.clock.now_ns for c in sh_r.world.contexts]
+    ev_clk = [c.clock.now_ns for c in ev_r.world.contexts]
+    if sh_v != ev_v or sh_clk != ev_clk:
         raise AssertionError(
-            f"gups parity: substrates disagree on {label!r} "
-            f"(checksum {th_r.checksum} vs {ev_r.checksum}, "
-            f"solve_ns {th_r.solve_ns} vs {ev_r.solve_ns})"
+            f"gups parity: shim and continuation disagree on {label!r} "
+            f"at {ranks} ranks"
         )
     return {
         "workload": label,
@@ -207,10 +201,10 @@ def gups_row(
         "version": version.value,
         "updates_per_rank": cfg.updates_per_rank,
         "batch": cfg.batch,
-        "thread_s": round(th_s, 6),
+        "shim_s": round(sh_s, 6),
         "event_s": round(ev_s, 6),
-        "speedup": round(th_s / ev_s, 2),
-        "solve_ns": th_r.solve_ns,
+        "speedup": round(sh_s / ev_s, 2),
+        "solve_ns": max(v[0] for v in ev_r.values),
     }
 
 
@@ -280,13 +274,16 @@ def run_sched_bench(
         "storm": {
             "description": (
                 "pure switch-density microbenchmark (every rank yields in "
-                "a loop): wall-clock is scheduler substrate overhead only"
+                "a loop): the same generator body run behind a plain "
+                "lambda on thread shims (shim_s) vs as an in-place "
+                "continuation (event_s); wall-clock is scheduler overhead "
+                "only.  Switch counts are asserted equal"
             ),
             "rows": storm_rows,
         },
         "blocked_storm": {
             "description": (
-                "blocked-heavy barrier storm on the event-loop substrate: "
+                "blocked-heavy barrier storm of continuation bodies: "
                 "staggered arrivals keep nearly every rank parked, so the "
                 "pick mechanism dominates — wake list (sched_wake_list, "
                 "O(1) per switch) vs legacy predicate scan (O(blocked) "
@@ -297,10 +294,11 @@ def run_sched_bench(
         },
         "gups": {
             "description": (
-                "GUPS cells: the existing 16-rank sweep shape (op-bound — "
-                "both substrates execute identical per-op simulator work, "
-                "which dominates) and a strong-scaling extension to 1024 "
-                "ranks the thread substrate could not previously reach"
+                "GUPS cells, shim vs continuation with per-rank results "
+                "and clocks asserted equal: the existing 16-rank sweep "
+                "shape (op-bound — both body styles execute identical "
+                "per-op simulator work, which dominates) and a "
+                "strong-scaling extension to 1024 ranks"
             ),
             "rows": gups_rows,
         },
@@ -318,12 +316,12 @@ def run_sched_bench(
             "meets_5x_scheduler_bound": min(storm_speedups) >= 5.0,
             "meets_5x_wake_list_bound": blocked_top["speedup"] >= 5.0,
             "note": (
-                "the >=5x substrate speedup holds wherever scheduling "
-                "dominates wall-clock (storm rows, every rank count up to "
-                "1024); op-dense GUPS cells are bounded by per-op "
-                "simulator cost identical on both substrates, so their "
-                "speedup is honest but smaller — the event loop's GUPS "
-                "win is scale capability (1024 ranks on one thread)"
+                "the >=5x continuation-over-shim speedup holds wherever "
+                "scheduling dominates wall-clock (storm rows, every rank "
+                "count up to 1024); op-dense GUPS cells are bounded by "
+                "per-op simulator cost identical for both body styles, so "
+                "their speedup is honest but smaller — the continuations' "
+                "GUPS win is scale capability (1024 ranks on one thread)"
             ),
         },
     }

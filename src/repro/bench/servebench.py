@@ -3,8 +3,8 @@
 Sweeps offered rate x mechanism configuration over
 :func:`repro.serve.run_serve` on a fixed two-node ibv topology (the
 regime where *every* studied mechanism is live: the eager/defer
-notification path, AM aggregation, adaptive progress, wait hints, and
-the scheduler substrate) and emits a machine-readable artifact
+notification path, AM aggregation, adaptive progress and wait hints)
+and emits a machine-readable artifact
 (``BENCH_serve.json``):
 
 * one row per (configuration, offered rate): request counts, SLO misses,
@@ -20,10 +20,7 @@ the scheduler substrate) and emits a machine-readable artifact
   Mean-centric comparisons (the paper reports means) would pick the
   wrong mechanism for a tail SLO — this artifact exhibits concrete
   (pair, rate) witnesses with margins beyond the sketch's relative
-  error;
-* an **event-loop parity cross-check**: the eager configuration re-run
-  on the event-loop substrate must reproduce identical virtual-time
-  results (asserted, like the schedbench parity checks).
+  error.
 
 Wall-clock cost is a few seconds in quick mode (CI) and well under a
 minute for the full sweep; quick mode keeps the workload parameters
@@ -84,7 +81,6 @@ def _mech(
     agg_adaptive: bool = False,
     progress_adaptive: bool = False,
     wait_hints: bool = False,
-    sched_event_loop: bool = False,
 ):
     """(version, flags, mechanism-description dict) for one configuration."""
     version = Version.V2021_3_6_EAGER if eager else Version.V2021_3_6_DEFER
@@ -94,7 +90,6 @@ def _mech(
         agg_adaptive=agg_adaptive,
         progress_adaptive=progress_adaptive,
         wait_hints=wait_hints,
-        sched_event_loop=sched_event_loop,
     )
     mech = {
         "eager_notification": eager,
@@ -102,14 +97,11 @@ def _mech(
         "agg_adaptive": agg_adaptive,
         "progress_adaptive": progress_adaptive,
         "wait_hints": wait_hints,
-        "sched_event_loop": sched_event_loop,
     }
     return version, flags, mech
 
 
-#: name -> (version, flags, mechanism dict).  ``eager+evloop`` is the
-#: parity configuration: identical virtual-time behaviour to ``eager``
-#: is asserted, so it is excluded from knee/inversion analysis.
+#: name -> (version, flags, mechanism dict).
 CONFIGS = {
     "defer": _mech(eager=False),
     "eager": _mech(eager=True),
@@ -121,10 +113,8 @@ CONFIGS = {
     "eager+hints": _mech(
         eager=True, progress_adaptive=True, wait_hints=True
     ),
-    "eager+evloop": _mech(eager=True, sched_event_loop=True),
 }
-QUICK_CONFIGS = ("defer", "eager", "eager+agg", "eager+hints", "eager+evloop")
-PARITY_PAIR = ("eager", "eager+evloop")
+QUICK_CONFIGS = ("defer", "eager", "eager+agg", "eager+hints")
 
 
 def _phase_stats(res: ServeResult, phase: str, kclass: str) -> Optional[dict]:
@@ -189,29 +179,6 @@ def serve_row(name: str, rate_rps: float) -> dict:
     }
 
 
-def _check_parity(rows: list) -> int:
-    """Assert the event-loop configuration is virtual-time identical to
-    its thread-substrate twin at every swept rate; returns #rates
-    checked."""
-    base_name, ev_name = PARITY_PAIR
-    by_rate: dict[float, dict[str, dict]] = {}
-    for row in rows:
-        by_rate.setdefault(row["offered_rate_rps"], {})[row["config"]] = row
-    checked = 0
-    for rate, cells in sorted(by_rate.items()):
-        a, b = cells.get(base_name), cells.get(ev_name)
-        if a is None or b is None:
-            continue
-        for field in ("phases", "by_class", "slo_misses", "solve_ns"):
-            if a[field] != b[field]:
-                raise AssertionError(
-                    f"substrate parity: {base_name} vs {ev_name} disagree "
-                    f"on {field} at {rate:g} rps"
-                )
-        checked += 1
-    return checked
-
-
 def find_knees(rows: list) -> dict:
     """Per configuration, the lowest swept rate whose total p99 is >=
     ``KNEE_FACTOR`` x the configuration's lowest-rate p99 (None if the
@@ -238,15 +205,12 @@ def find_inversions(rows: list, knees: dict) -> list:
 
     Both margins must clear :data:`INVERSION_MEAN_MARGIN` /
     :data:`INVERSION_P999_MARGIN` so a witness cannot be sketch
-    quantization noise.  The parity configuration is excluded (it is
-    ``eager`` by construction).
+    quantization noise.
     """
     known_knees = [k for k in knees.values() if k is not None]
     min_knee = min(known_knees) if known_knees else None
     by_rate: dict[float, list] = {}
     for row in rows:
-        if row["config"] == PARITY_PAIR[1]:
-            continue
         by_rate.setdefault(row["offered_rate_rps"], []).append(row)
     out = []
     for rate in sorted(by_rate):
@@ -306,7 +270,6 @@ def run_serve_bench(*, quick: bool = False, progress=None) -> dict:
             say(f"serve: {name} @ {rate:g} rps ...")
             rows.append(serve_row(name, rate))
 
-    parity_rates = _check_parity(rows)
     knees = find_knees(rows)
     inversions = find_inversions(rows, knees)
 
@@ -351,7 +314,6 @@ def run_serve_bench(*, quick: bool = False, progress=None) -> dict:
             ),
             "inversions": inversions,
             "inversion": inversions[0] if inversions else None,
-            "evloop_parity_rates_checked": parity_rates,
             "gate": (
                 None
                 if gate_row is None

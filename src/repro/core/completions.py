@@ -224,8 +224,7 @@ class CxCounter:
     One cell allocation backs all N events; each member event charges the
     cheap ``CX_COUNTER_SIGNAL`` and the Nth charges ``CX_COUNTER_TRIP``
     and fires the single notification (cell callbacks run, parked waiters
-    wake via the ordinary ``("cell", cell)`` wake key on both scheduler
-    substrates).  Off-node member destinations are remembered so a hinted
+    wake via the ordinary ``("cell", cell)`` wake key).  Off-node member destinations are remembered so a hinted
     wait (``wait_hints``) flushes *all* of them, not just one.
 
     Requires ``FeatureFlags.cx_continuations``.

@@ -145,8 +145,8 @@ class Future:
         Yields switch commands instead of calling the blocking scheduler
         primitives, so the event-loop scheduler interprets the waits in
         place; :meth:`wait` drives this same spin through ``run_blocking``
-        — one implementation, identical charge sequence on both
-        substrates.
+        — one implementation, identical charge sequence for generator and
+        blocking callers.
         """
         ctx = current_ctx()
         cell = self._cell

@@ -86,10 +86,11 @@ def main(argv=None) -> int:
         "program JSON) instead of generating new ones",
     )
     parser.add_argument(
-        "--sched", choices=SCHEDULERS + ("both",), default="thread",
-        help="scheduler substrate to run on; 'both' additionally asserts "
-        "the event loop reproduces the thread scheduler exactly, clocks "
-        "included (default: thread)",
+        "--sched", choices=SCHEDULERS + ("both",), default="event",
+        help="how to run each body: 'event' (generator continuations) or "
+        "'shim' (the same body behind a plain lambda, on thread shims); "
+        "'both' additionally asserts the two agree exactly, clocks "
+        "included (default: event)",
     )
     parser.add_argument(
         "--cx", nargs="+", choices=CX_MODES[1:], default=[],
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
     print(
         f"OK: {total} programs x {len(MODES)} modes "
         f"x {variants} cx variant(s) "
-        f"x {len(schedulers)} scheduler(s) agree ({dt:.1f}s)"
+        f"x {len(schedulers)} body style(s) agree ({dt:.1f}s)"
     )
     return 0
 

@@ -38,7 +38,8 @@ makes identical choices):
 A swapped run must reproduce the future baseline's tables, values, and
 completion counts under every mode (clocks legitimately differ — the
 swap changes what is charged), and must itself be bit-identical across
-scheduler substrates, clocks included.
+the two ways of running the body (see :data:`SCHEDULERS`), clocks
+included.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from repro import (
 from repro.core.promise import Promise
 from repro.memory.global_ptr import GlobalPtr
 from repro.runtime.config import FeatureFlags, Version, flags_for
+from repro.runtime.event_loop import as_shim
 from repro.runtime.switchpoints import BlockUntil
 from repro.fuzz.programs import FuzzProgram
 from repro.sim.costmodel import CostAction
@@ -79,9 +81,13 @@ CX_MODES = ("future", "continuation", "counter")
 #: promise-tracked ops already share one notification object)
 _SWAPPABLE = ("put", "amo_xor", "amo_add")
 
-#: scheduler substrates a program can run on (must be indistinguishable —
-#: clocks included — for any program; the differential check enforces it)
-SCHEDULERS = ("thread", "event")
+#: how the event loop runs a program's body: ``"shim"`` passes it through
+#: :func:`~repro.runtime.event_loop.as_shim` (every rank a blocking call
+#: stack on its thread shim), ``"event"`` passes the generator itself
+#: (every rank an in-place continuation).  The two must be
+#: indistinguishable — clocks included — for any program; the
+#: differential check enforces it.
+SCHEDULERS = ("shim", "event")
 
 
 def mode_flags(mode: str) -> tuple[Version, FeatureFlags]:
@@ -163,8 +169,8 @@ def _swap_plan(program: FuzzProgram, me: int, cx: str) -> dict:
 
 
 def _fuzz_body(program: FuzzProgram, cx: str = "future"):
-    # a generator continuation: runs in place on the event-loop scheduler
-    # and through the rank thread's trampoline on the thread scheduler
+    # a generator continuation: runs in place on the event loop, or through
+    # run_blocking on a thread shim when wrapped in a plain function
     ctx = current_ctx()
     me = ctx.rank
     ranks = program.ranks
@@ -312,14 +318,16 @@ def _fuzz_body(program: FuzzProgram, cx: str = "future"):
 def run_program(
     program: FuzzProgram,
     mode: str,
-    scheduler: str = "thread",
+    scheduler: str = "event",
     cx: str = "future",
 ) -> FuzzOutcome:
     """Execute ``program`` under ``mode``; a pure function of both.
 
-    ``scheduler`` picks the substrate: ``"thread"`` (one thread per rank)
-    or ``"event"`` (every rank a continuation on one event loop).  The
-    substrates are required to be observably identical — same tables,
+    ``scheduler`` picks how the body runs (see :data:`SCHEDULERS`):
+    ``"event"`` (every rank a generator continuation) or ``"shim"`` (the
+    same body behind :func:`~repro.runtime.event_loop.as_shim`, every rank
+    on its thread shim).
+    The two are required to be observably identical — same tables,
     values, completions, *and clocks* — so the outcome is a pure function
     of (program, mode) alone.
 
@@ -329,8 +337,10 @@ def run_program(
     """
     version, flags = mode_flags(mode)
     if scheduler == "event":
-        flags = flags.replace(sched_event_loop=True)
-    elif scheduler != "thread":
+        body = _fuzz_body
+    elif scheduler == "shim":
+        body = as_shim(_fuzz_body)
+    else:
         raise ValueError(
             f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}"
         )
@@ -339,7 +349,7 @@ def run_program(
     if cx != "future":
         flags = flags.replace(cx_continuations=True)
     res = spmd_run(
-        _fuzz_body,
+        body,
         args=(program, cx),
         ranks=program.ranks,
         version=version,
@@ -360,7 +370,7 @@ def run_program(
 def check_program(
     program: FuzzProgram,
     modes: tuple[str, ...] = MODES,
-    schedulers: tuple[str, ...] = ("thread",),
+    schedulers: tuple[str, ...] = ("event",),
     cx_modes: tuple[str, ...] = (),
 ) -> list[str]:
     """Run ``program`` under every mode; describe any disagreement.
@@ -369,15 +379,15 @@ def check_program(
     completion counts (clocks are exempt — they are the measurement).
 
     With more than one entry in ``schedulers``, every mode additionally
-    runs on each extra substrate, and those runs must match the first
-    substrate's outcome *exactly* — clocks included — since the scheduler
-    swap is an implementation detail, not a semantic mode.
+    runs with each extra body style, and those runs must match the first
+    style's outcome *exactly* — clocks included — since how the body is
+    run is an implementation detail, not a semantic mode.
 
     ``cx_modes`` adds completion-kind swap variants ("continuation" /
     "counter"): each (mode, cx) run must reproduce that mode's future
     baseline on tables, values, and completion counts (clocks exempt —
     the swap changes which actions are charged), and must itself be
-    bit-identical, clocks included, across the scheduler substrates.
+    bit-identical, clocks included, across the body styles.
     """
     outcomes = {
         mode: run_program(program, mode, schedulers[0]) for mode in modes
@@ -406,7 +416,7 @@ def check_program(
             other = run_program(program, mode, scheduler)
             if other != outcomes[mode]:
                 mismatches.append(
-                    f"scheduler substrates disagree under {mode}: "
+                    f"body styles disagree under {mode}: "
                     f"{schedulers[0]} vs {scheduler}"
                 )
     for cx in cx_modes:
@@ -422,7 +432,7 @@ def check_program(
                 other = run_program(program, mode, scheduler, cx=cx)
                 if other != swapped:
                     mismatches.append(
-                        "scheduler substrates disagree under "
+                        "body styles disagree under "
                         f"{mode}/{cx}: {schedulers[0]} vs {scheduler}"
                     )
     return mismatches

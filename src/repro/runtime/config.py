@@ -163,19 +163,8 @@ class FeatureFlags:
         Maximum spans retained per rank; later spans are counted as
         dropped but still stamped (only consulted when ``obs_spans`` is
         on).
-    sched_event_loop:
-        Run simulated ranks on the single-threaded event-loop scheduler
-        (:mod:`repro.runtime.event_loop`) instead of thread-per-rank
-        token passing.  Both substrates drive the same round-robin
-        promote-and-pick policy core, so functional results, virtual
-        clocks, deadlock declarations, and teardown behavior are
-        bit-identical; rank bodies written as generator functions run as
-        in-place continuations (one generator resume per switch — the
-        speedup), while plain-function bodies transparently ride a
-        per-rank thread shim with the original substrate's cost.  Off by
-        default on every build.
     sched_wake_list:
-        Event-driven wake lists in the scheduler core (both substrates):
+        Event-driven wake lists in the scheduler core:
         a blocking construct that names its wake event (cell readiness,
         barrier epoch advance — see
         :class:`~repro.runtime.switchpoints.BlockUntil`) parks on a wake
@@ -228,7 +217,6 @@ class FeatureFlags:
     progress_ewma_alpha: float = 0.25
     wait_hints: bool = False
     wait_flush_fill_frac: float = 0.5
-    sched_event_loop: bool = False
     sched_wake_list: bool = True
     cx_continuations: bool = False
 

@@ -4,7 +4,9 @@ Every simulated rank owns a :class:`RankContext`: its virtual clock, cost
 model, progress engine, RNG, shared-segment allocator and conduit endpoint.
 API functions (``rput``, ``rget``, atomic ops, …) resolve the calling
 rank's context through a thread-local, exactly as the real UPC++ runtime
-resolves "the current persona's state" through thread-local storage.
+resolves "the current persona's state" through thread-local storage.  The
+event-loop scheduler rebinds the loop thread's slot to each generator rank
+it resumes; a plain-function rank's shim thread binds its own once.
 
 Code running outside :func:`repro.runtime.runtime.spmd_run` (unit tests,
 REPL exploration) still gets a fully functional single-rank world: the
@@ -93,8 +95,8 @@ class RankContext:
         #: adaptive progress controller; wired by the runtime only when
         #: ``flags.progress_adaptive`` is set (None → the static drain loop)
         self.progress_ctl: Optional["AdaptiveProgressController"] = None
-        #: either substrate — CooperativeScheduler (thread-per-rank) or
-        #: EventLoopScheduler; both expose yield_now/block_until
+        #: the driving EventLoopScheduler (yield_now/block_until); None in
+        #: a standalone world
         self.scheduler: Optional["SchedulerCore"] = None
         #: precomputed gate for the wait-target machinery: with the flag
         #: off no target is ever pushed, so ``active_wait_target`` stays

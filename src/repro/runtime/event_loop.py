@@ -1,27 +1,23 @@
 """Single-threaded event-loop scheduler: every simulated rank on one loop.
 
-The original substrate (:class:`~repro.runtime.scheduler.CooperativeScheduler`)
-gives each rank an OS thread and passes a run token between them — two
-thread context switches plus an Event round-trip per switch point, and one
-live thread per rank.  This module replaces the substrate, not the policy:
-rank bodies written as generators (yielding
+Rank bodies written as generators (yielding
 :class:`~repro.runtime.switchpoints.SwitchCommand` objects) are resumed in
 place by a single-threaded trampoline, so a switch costs one generator
 ``send`` and a 1024-rank world needs zero extra threads.
 
-Plain-function bodies still run through a per-rank *thread shim* — one
-helper thread driven by the same Event ping-pong the original scheduler
-used.  Functionally identical, none of the speedup: it exists so un-ported
-apps keep working under ``FeatureFlags.sched_event_loop``.
+Plain-function bodies run through a per-rank *thread shim* — one helper
+thread that hands control back and forth with the loop through a pair of
+Events, exactly one of the two running at any moment.  The shim keeps the
+public API unchanged (any callable is a valid SPMD body); it is
+functionally identical to the generator path, just slower per switch.
+Passing the same generator body once directly and once through
+:func:`as_shim` (a plain ``lambda``) is the parity oracle the tests diff:
+same values, virtual clocks, action counts and switch traces.
 
 Every switch decision goes through :class:`SchedulerCore`'s
-promote-and-pick scan — the same code object the thread substrate calls —
-and the loop mirrors the token-passing control flow branch for branch
-(immediate-true predicates, conservative self-resume, the deadlock
-declaration in both the blocking and the finishing path, first-error-wins
-teardown).  Interleavings, virtual clocks, deadlock state dumps, and
-teardown behavior are therefore identical between substrates; the parity
-tests in ``tests/test_event_loop.py`` compare switch traces event by event.
+promote-and-pick scan (immediate-true predicates, conservative
+self-resume, the deadlock declaration in both the blocking and the
+finishing path, first-error-wins teardown).
 """
 
 from __future__ import annotations
@@ -86,9 +82,9 @@ class _ThreadShimTask:
     """Compatibility shim: a plain-function rank body on a helper thread.
 
     The loop and the shim thread hand control back and forth through a
-    pair of Events, exactly one of the two running at any moment — the
-    original token-passing cost, preserved so un-ported bodies behave
-    identically (just without the event loop's speedup).
+    pair of Events, exactly one of the two running at any moment, so a
+    blocking body behaves exactly like its generator form (just without
+    the loop's per-switch speedup).
     """
 
     kind = "shim"
@@ -107,6 +103,11 @@ class _ThreadShimTask:
 
     def owns_current_thread(self) -> bool:
         return self._thread is threading.current_thread()
+
+    def join(self) -> None:
+        """Wait for a shim thread that has posted its final outcome."""
+        if self._thread is not None:
+            self._thread.join()
 
     # -- loop side ---------------------------------------------------------
 
@@ -161,11 +162,17 @@ class _ThreadShimTask:
         self._post_evt.set()
 
 
+def as_shim(body):
+    """The same rank body behind a plain function: the loop then runs
+    every rank on its thread shim instead of as an in-place continuation
+    (the shim side of the shim-vs-generator parity checks)."""
+    return lambda *args: body(*args)
+
+
 class EventLoopScheduler(SchedulerCore):
     """All ranks of one simulated job multiplexed onto the calling thread.
 
-    Usage (done by :func:`repro.runtime.runtime.spmd_run` when
-    ``FeatureFlags.sched_event_loop`` is set)::
+    Usage (done by :func:`repro.runtime.runtime.spmd_run`)::
 
         sched = EventLoopScheduler(ranks)
         results = sched.run(world, fn, args)
@@ -186,7 +193,6 @@ class EventLoopScheduler(SchedulerCore):
         self._tasks: list = [None] * nranks
         self._results: list = [None] * nranks
         self._contexts: Optional[list] = None
-        self._loop_thread: Optional[threading.Thread] = None
 
     # -- context-facing API (reached through RankContext) -------------------
 
@@ -196,7 +202,7 @@ class EventLoopScheduler(SchedulerCore):
             task.post_cmd(YIELD_NOW)
             return
         # inline call from a continuation task: legal only when no actual
-        # switch would happen (mirrors the thread substrate's fast return)
+        # switch would happen (the no-switch path a YieldNow takes in _drive)
         if self._switch_trace is not None:
             self._switch_trace.append(("yield", rank))
         if self._pick_next(rank, include_self=False) is None:
@@ -226,15 +232,13 @@ class EventLoopScheduler(SchedulerCore):
     def run(self, world, fn, args: Sequence[Any] = ()) -> list:
         """Run ``fn(*args)`` on every rank to completion; return per-rank
         results (the first failure is recorded, not raised — the caller
-        checks :meth:`first_error`, mirroring the thread driver)."""
+        checks :meth:`first_error`)."""
         if self._started:
             raise SchedulerError("scheduler already started")
         self._started = True
         # wire the wake fabric: completion sites notify this loop and every
-        # ctx routes blocking through it.  spmd_run already attached when it
-        # built the loop (idempotent); for a nested/ambient world driven
-        # directly this is what keeps wake-list scheduling on instead of
-        # the old silent predicate-scan fallback.
+        # ctx routes blocking through it (for spmd_run's world and for a
+        # nested/ambient world driven directly alike)
         world.attach_scheduler(self)
         contexts = world.contexts
         self._contexts = contexts
@@ -244,12 +248,17 @@ class EventLoopScheduler(SchedulerCore):
                 self._tasks[r] = _GenTask(fn(*args))
             else:
                 self._tasks[r] = _ThreadShimTask(r, contexts[r], fn, args)
-        self._loop_thread = threading.current_thread()
         prev_ctx = current_ctx_or_none()
         try:
             self._drive(contexts)
         finally:
             set_current_ctx(prev_ctx)
+        # every started shim has posted its final outcome by now (teardown
+        # resumes each one until it stops yielding commands); reap the
+        # threads so none outlives the job
+        for task in self._tasks:
+            if type(task) is _ThreadShimTask:
+                task.join()
         return list(self._results)
 
     # -- loop internals ------------------------------------------------------
@@ -274,14 +283,14 @@ class EventLoopScheduler(SchedulerCore):
                 if type(cmd) is BlockUntil:
                     pred = cmd.wake_when
                     if pred():
-                        continue  # immediate-true: no switch (thread parity)
+                        continue  # immediate-true: no switch
                     if trace is not None:
                         trace.append(("block", cur))
                     self._enter_blocked(cur, pred, cmd.wake)
                     nxt = self._pick_next(cur, include_self=True)
                     if nxt == cur:
                         # own predicate turned true during the scan —
-                        # conservatively re-run (thread parity)
+                        # conservatively re-run
                         states[cur] = _READY
                         preds[cur] = None
                         continue
@@ -330,8 +339,7 @@ class EventLoopScheduler(SchedulerCore):
     def _deadlock_unwind(self, cur: int) -> None:
         """Deadlock declared at ``cur``'s blocking switch point: the
         declaring rank sees the original state-dump error at its blocking
-        call (thread substrate: ``_declare_deadlock`` raises in place);
-        every other live rank sees the teardown wrap."""
+        call; every other live rank sees the teardown wrap."""
         if self._switch_trace is not None:
             self._switch_trace.append(("deadlock", tuple(self._states)))
         exc = self._deadlock_error()
@@ -355,17 +363,15 @@ class EventLoopScheduler(SchedulerCore):
         self._teardown(skip=cur)
 
     def _teardown(self, skip: Optional[int]) -> None:
-        """Unwind every live rank with the teardown error (rank order —
-        the thread substrate wakes them in OS order, but unwinds touch
-        only per-rank state, so the order is unobservable)."""
+        """Unwind every live rank with the teardown error, in rank order."""
         states = self._states
         for r in range(self.nranks):
             if r == skip or states[r] is _DONE:
                 continue
             task = self._tasks[r]
             if task is None or not task.started:
-                # never ran: no user code has executed — mirror the thread
-                # runner's silent pre-start teardown return
+                # never ran: no user code has executed, so there is
+                # nothing to unwind
                 if task is not None and task.kind == "gen":
                     task.gen.close()
                 if states[r] is _BLOCKED:

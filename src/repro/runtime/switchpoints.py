@@ -9,14 +9,15 @@ calling the blocking scheduler primitives::
         ...
         yield YIELD_NOW
 
-Under the event-loop scheduler the loop interprets each command in place —
-a switch costs one generator resume.  Under the thread scheduler (and for
-plain blocking call sites) :func:`run_blocking` drives the generator to
-completion by translating every command into the context's blocking
-primitives.  The library's blocking constructs (``Future.wait``,
-``World.barrier``) are written once as generators and shared by both
-substrates through this module, which is what keeps their charge sequences
-— and therefore all virtual clocks — identical across substrates.
+The event-loop scheduler interprets each command in place — a switch
+costs one generator resume.  For plain blocking call sites (a
+plain-function body on its shim thread, the ambient single-rank world)
+:func:`run_blocking` drives the generator to completion by translating
+every command into the context's blocking primitives.  The library's
+blocking constructs (``Future.wait``, ``World.barrier``) are written once
+as generators and shared by both body styles through this module, which
+is what keeps their charge sequences — and therefore all virtual clocks —
+identical between a generator body and its blocking form.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ YIELD_NOW = YieldNow()
 
 
 def run_blocking(ctx, gen):
-    """Drive a switch-command generator to completion on a blocking
-    substrate (a rank thread, a shim thread, or the ambient world); return
-    the generator's return value.
+    """Drive a switch-command generator to completion on a blocking call
+    stack (a shim thread or the ambient world); return the generator's
+    return value.
 
     Exceptions raised while executing a command (teardown, deadlock) are
     thrown *into* the generator so its ``try/finally`` cleanup runs —

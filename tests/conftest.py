@@ -18,6 +18,7 @@ from repro.runtime.context import (
     reset_ambient_ctx,
     set_current_ctx,
 )
+from repro.runtime.event_loop import as_shim
 from repro.runtime.runtime import build_world
 from repro.sim.costmodel import NoisyCostModel
 
@@ -104,6 +105,31 @@ def per_charge_costs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("repro.runtime.context.CostModel", NoisyCostModel)
         yield
+
+
+@contextlib.contextmanager
+def shim_gups():
+    """Make ``run_gups`` pass its body through :func:`as_shim`, so a GUPS
+    run drives every rank on a thread shim instead of as a
+    continuation."""
+    from repro.apps import gups
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gups, "_gups_body", as_shim(gups._gups_body))
+        yield
+
+
+def run_fingerprint(result, trace=None):
+    """Everything the parity pins compare bit for bit: per-rank values,
+    clock units, per-rank action counts, switch count and switch trace."""
+    world = result.world
+    return (
+        result.values,
+        tuple(c.clock._units for c in world.contexts),
+        tuple(c.costs.snapshot() for c in world.contexts),
+        world.sched_switches,
+        trace,
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -44,7 +44,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="toggle"):
             self._spec(toggle={
                 "sched_wake_list": True,
-                "sched_event_loop": True,
+                "obs_spans": True,
                 "cx_continuations": True,
             })
 
@@ -278,7 +278,8 @@ class TestWorkloadHelpers:
         spec = ab.ABSpec(
             name="t", description="d", workload="blocked_storm",
             axis="ranks", points=(2,), seeds=(1,),
-            toggle={"sched_event_loop": True},
+            base_overrides={"sched_wake_list": False},
+            toggle={"sched_wake_list": True},
             metrics=(ab.MetricSpec("not_produced"),),
             workload_params={"rounds_by_ranks": {"2": 2}},
         )

@@ -7,7 +7,7 @@ future/cell allocation on the sync path) and counter completions (N
 operation events aggregated into one notification on a shared cell).
 These tests pin the flag gate, the inline-dispatch fast path, the pend
 path, the allocation claim, span stamping, aggregation interplay, and
-both scheduler substrates.
+both rank-body styles (generator continuations and thread shims).
 """
 
 import pytest
@@ -18,6 +18,7 @@ from repro.core.completions import CxDispatcher, operation_cx, remote_cx, source
 from repro.core.events import Event
 from repro.errors import CompletionError
 from repro.runtime.config import Version, flags_for
+from repro.runtime.event_loop import as_shim
 from repro.runtime.runtime import spmd_run
 from repro.runtime.wait_hints import WaitTarget
 from repro.sim.costmodel import CostAction
@@ -247,7 +248,7 @@ class TestWaitTargetDsts:
 
 
 # ---------------------------------------------------------------------------
-# off-node integration, both scheduler substrates
+# off-node integration, generator and shim bodies
 # ---------------------------------------------------------------------------
 
 
@@ -275,12 +276,12 @@ def _offnode_cont_body():
     return int(ctx.segment.read_scalar(g.offset, g.ts))
 
 
-@pytest.mark.parametrize("event_loop", (False, True))
-def test_offnode_continuation_fires_from_progress(event_loop):
-    fl = _cx_flags(VD, obs_spans=True, sched_event_loop=event_loop)
+@pytest.mark.parametrize("shim", (False, True))
+def test_offnode_continuation_fires_from_progress(shim):
+    fl = _cx_flags(VD, obs_spans=True)
+    body = as_shim(_offnode_cont_body) if shim else _offnode_cont_body
     res = spmd_run(
-        _offnode_cont_body, ranks=2, version=VD, conduit="ibv",
-        n_nodes=2, flags=fl,
+        body, ranks=2, version=VD, conduit="ibv", n_nodes=2, flags=fl,
     )
     assert res.values == [2, 1]
     # every continuation span closed (t_dispatched stamped) with an
@@ -316,22 +317,22 @@ def _offnode_counter_body(n_ops):
     return int(ctx.segment.read_scalar(g.offset, g.ts))
 
 
-@pytest.mark.parametrize("event_loop", (False, True))
+@pytest.mark.parametrize("shim", (False, True))
 @pytest.mark.parametrize("hints", (False, True))
-def test_offnode_counter_with_aggregation(event_loop, hints):
+def test_offnode_counter_with_aggregation(shim, hints):
     """A counter aggregating off-node atomics completes under AM
-    aggregation + wait hints on both substrates (the hinted wait's
-    flush set covers the member destinations)."""
+    aggregation + wait hints for generator and shim bodies alike (the
+    hinted wait's flush set covers the member destinations)."""
     fl = _cx_flags(
         VD,
         am_aggregation=True,
         agg_max_entries=64,  # large: only the wait's flush drains it
         wait_hints=hints,
-        sched_event_loop=event_loop,
     )
+    body = as_shim(_offnode_counter_body) if shim else _offnode_counter_body
     res = spmd_run(
-        _offnode_counter_body, args=(6,), ranks=2, version=VD,
-        conduit="ibv", n_nodes=2, flags=fl,
+        body, args=(6,), ranks=2, version=VD, conduit="ibv", n_nodes=2,
+        flags=fl,
     )
     assert res.values == [6, 6]
 

@@ -1,22 +1,21 @@
 """Tests for the distributed hash table application."""
 
-import dataclasses
-
 import pytest
 
 from repro import barrier, rank_me
+from repro.apps import dht
 from repro.apps.dht import (
     DhtConfig,
     DistributedHashMap,
-    _dht_body,
     _dht_body_gen,
     _mix,
     run_dht,
 )
 from repro.errors import UpcxxError
 from repro.runtime.config import Version, flags_for
+from repro.runtime.event_loop import as_shim
 from repro.runtime.runtime import spmd_run
-from tests.conftest import ALL_VERSIONS
+from tests.conftest import ALL_VERSIONS, run_fingerprint
 
 
 class TestHash:
@@ -130,48 +129,49 @@ class TestShapes:
 
 
 class TestContinuationParity:
-    """The generator-ported body must be observably identical to the
-    thread-shim (blocking-wrapper) body: same results, same per-rank
-    virtual clocks, same scheduler switch count, same switch trace."""
+    """The generator body run as a continuation must be observably
+    identical to the same body behind a plain ``lambda`` (every rank on
+    its thread shim): same results, per-rank clock units and action
+    counts, switch count and switch trace."""
 
     CFG = DhtConfig(log2_slots=9, inserts_per_rank=16, finds_per_rank=16)
 
-    def _run(self, body, *, event_loop):
-        flags = dataclasses.replace(
-            flags_for(Version.V2021_3_6_EAGER),
-            sched_event_loop=event_loop,
-        )
+    def _run(self, body, *, wake_list=True, version=Version.V2021_3_6_EAGER):
+        flags = flags_for(version).replace(sched_wake_list=wake_list)
         trace = []
         res = spmd_run(
             body, args=(self.CFG,), ranks=4, machine="generic",
-            seed=self.CFG.seed, segment_bytes=1 << 17, flags=flags,
-            switch_trace=trace,
+            version=version, seed=self.CFG.seed, segment_bytes=1 << 17,
+            flags=flags, switch_trace=trace,
         )
-        clocks = tuple(c.clock.now_ns for c in res.world.contexts)
-        return res.values, clocks, res.world.sched_switches, trace
+        return run_fingerprint(res, trace)
 
-    @pytest.mark.parametrize("event_loop", [False, True])
-    def test_generator_body_matches_blocking_body(self, event_loop):
-        gen = self._run(_dht_body_gen, event_loop=event_loop)
-        blk = self._run(lambda c: _dht_body(c), event_loop=event_loop)
+    @pytest.mark.parametrize("wake_list", [False, True])
+    def test_generator_body_matches_blocking_body(self, wake_list):
+        gen = self._run(_dht_body_gen, wake_list=wake_list)
+        blk = self._run(as_shim(_dht_body_gen), wake_list=wake_list)
         assert gen == blk
-        assert gen[2] > 0
+        assert gen[3] > 0
 
     def test_substrates_agree_on_generator_body(self):
-        ev = self._run(_dht_body_gen, event_loop=True)
-        th = self._run(_dht_body_gen, event_loop=False)
-        assert ev == th
+        """Both oracles at once: the generator on wake lists against the
+        shim on the predicate scan."""
+        ev = self._run(_dht_body_gen)
+        sh = self._run(as_shim(_dht_body_gen), wake_list=False)
+        assert ev == sh
 
     @pytest.mark.parametrize("version", ALL_VERSIONS)
-    def test_run_dht_results_identical(self, version):
-        a = run_dht(
-            self.CFG, ranks=4, version=version, machine="generic",
-            continuation=True,
-        )
-        b = run_dht(
-            self.CFG, ranks=4, version=version, machine="generic",
-            continuation=False,
-        )
+    def test_run_dht_results_identical(self, version, monkeypatch):
+        """Per version: both body styles give the same fingerprint, and
+        ``run_dht`` is correct on each (every lookup hits, the stored
+        table is the expected one) with the same solve time."""
+        gen = self._run(_dht_body_gen, version=version)
+        shim = self._run(as_shim(_dht_body_gen), version=version)
+        assert gen == shim
+        assert sum(v[1] for v in shim[0]) == 4 * self.CFG.finds_per_rank
+        a = run_dht(self.CFG, ranks=4, version=version, machine="generic")
+        monkeypatch.setattr(dht, "_dht_body_gen", as_shim(_dht_body_gen))
+        b = run_dht(self.CFG, ranks=4, version=version, machine="generic")
         assert a.correct and b.correct
         assert a.solve_ns == b.solve_ns
         assert a.ops == b.ops

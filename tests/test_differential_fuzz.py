@@ -207,12 +207,12 @@ class TestCxModes:
             assert check_program(prog, cx_modes=CX_MODES[1:]) == []
 
     def test_cross_scheduler_exact_with_cx(self):
-        """Both substrates agree bit-for-bit (clocks included) on
-        swapped runs."""
+        """Generator and shim bodies agree bit-for-bit (clocks included)
+        on swapped runs."""
         for index in range(6):
             prog = generate_program(SWEEP_SEED * 1_000_003 + index)
             for cx in CX_MODES[1:]:
-                a = run_program(prog, "adaptive", "thread", cx=cx)
+                a = run_program(prog, "adaptive", "shim", cx=cx)
                 b = run_program(prog, "adaptive", "event", cx=cx)
                 assert a == b
                 assert a.clock_ns == b.clock_ns

@@ -1,75 +1,66 @@
-"""Parity tests: the event-loop scheduler vs the thread scheduler.
+"""Parity and robustness tests of the event-loop scheduler.
 
-The tentpole guarantee of ``FeatureFlags.sched_event_loop``: swapping the
-scheduling substrate is *unobservable* — same per-rank results, same
-virtual clocks, same switch traces (every scheduling decision, in order),
-same deadlock declarations and failure teardown.  These tests compare the
-two substrates event by event on direct SPMD programs, on the GUPS
-variants across the flag matrix axes, and on seeded fuzz programs.
-
-Traces are compared up to the first terminal event (``deadlock``/``fail``):
-past that point the thread substrate wakes the to-be-torn-down rank
-threads in OS order, so the *order* of subsequent ``fail`` entries is
-scheduler-noise by design (the set of torn-down ranks is still checked).
+Every rank runs on one event loop, either as a generator continuation or
+— for a plain-function body — on a per-rank thread shim.  How a body is
+run must be *unobservable*: passing the same generator body once directly
+and once through a plain ``lambda`` gives the same per-rank results,
+virtual clock units, action counts and switch traces (every scheduling
+decision, in order), the same deadlock declarations and the same failure
+teardown.  These tests compare the two body styles event by event on
+direct SPMD programs, on the GUPS variants across the flag matrix axes,
+and on seeded fuzz programs; they also pin the failure paths (a rank
+raising mid-barrier or mid-wait, a deadlock) and that finished jobs leave
+neither shim threads nor their world behind.
 """
 
-import dataclasses
+import gc
+import threading
+import weakref
 
 import pytest
 
 from repro import barrier, barrier_gen, current_ctx, rank_me
+from repro.core.promise import Promise
 from repro.errors import DeadlockError, SchedulerError
 from repro.fuzz import generate_program
 from repro.fuzz.runner import _fuzz_body, mode_flags, run_program
 from repro.runtime.config import Version, flags_for
+from repro.runtime.event_loop import as_shim
 from repro.runtime.runtime import spmd_run
 from repro.runtime.switchpoints import YIELD_NOW, BlockUntil
 from repro.sim.costmodel import CostAction, CostModel, NoisyCostModel
-from tests.conftest import per_charge_costs
-
-TERMINALS = ("deadlock", "fail")
-
-
-def _truncate(trace):
-    """The deterministic prefix: everything up to and including the first
-    terminal event (teardown wake order after it is OS noise)."""
-    for i, ev in enumerate(trace):
-        if ev[0] in TERMINALS:
-            return trace[: i + 1]
-    return trace
+from tests.conftest import (
+    per_charge_costs,
+    run_fingerprint,
+    shim_gups,
+)
 
 
-def _flags(version=Version.V2021_3_6_EAGER, **kw):
-    return dataclasses.replace(flags_for(version), **kw)
+def _shim_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-shim-")]
 
 
 def run_both(fn, *, ranks, args=(), expect=None, **kw):
-    """Run ``fn`` under both substrates; assert identical values, clocks,
-    and truncated switch traces; return the two results."""
-    tr_th, tr_ev = [], []
-    base = kw.pop("flags", flags_for(kw.get("version", Version.V2021_3_6_EAGER)))
-    fl_ev = dataclasses.replace(base, sched_event_loop=True)
-    if expect is None:
-        r_th = spmd_run(fn, ranks=ranks, args=args, flags=base,
-                        switch_trace=tr_th, **kw)
-        r_ev = spmd_run(fn, ranks=ranks, args=args, flags=fl_ev,
-                        switch_trace=tr_ev, **kw)
-        assert r_ev.values == r_th.values
-    else:
-        with pytest.raises(expect) as ei_th:
-            spmd_run(fn, ranks=ranks, args=args, flags=base,
-                     switch_trace=tr_th, **kw)
-        with pytest.raises(expect) as ei_ev:
-            spmd_run(fn, ranks=ranks, args=args, flags=fl_ev,
-                     switch_trace=tr_ev, **kw)
-        assert str(ei_ev.value) == str(ei_th.value)
-        r_th = r_ev = None
-    assert _truncate(tr_ev) == _truncate(tr_th)
-    if r_th is not None:
-        assert [c.clock.now_ns for c in r_ev.world.contexts] == [
-            c.clock.now_ns for c in r_th.world.contexts
-        ]
-    return r_th, r_ev
+    """Run generator body ``fn`` directly and through a plain ``lambda``;
+    assert identical values, clock units, action counts and switch traces
+    (or identical errors), and that no shim thread outlives either job.
+    Returns the two fingerprints (None when ``expect`` is given)."""
+    out = []
+    for body in (fn, as_shim(fn)):
+        trace = []
+        if expect is None:
+            res = spmd_run(body, ranks=ranks, args=args, switch_trace=trace,
+                           **kw)
+            out.append(run_fingerprint(res, trace))
+        else:
+            with pytest.raises(expect) as ei:
+                spmd_run(body, ranks=ranks, args=args, switch_trace=trace,
+                         **kw)
+            out.append((type(ei.value), str(ei.value), trace))
+        assert _shim_threads() == []
+    assert out[0] == out[1]
+    return tuple(out) if expect is None else (None, None)
 
 
 class TestBasicParity:
@@ -78,12 +69,12 @@ class TestBasicParity:
             yield from barrier_gen()
             return rank_me() * 3
 
-        r_th, _ = run_both(body, ranks=8)
-        assert r_th.values == [r * 3 for r in range(8)]
+        gen, _ = run_both(body, ranks=8)
+        assert gen[0] == [r * 3 for r in range(8)]
 
     def test_round_robin_promotion_order(self):
-        """Satellite check: the fused single-pass _pick_next keeps the
-        exact round-robin order of the old two-pass scan."""
+        """The fused single-pass _pick_next keeps the exact round-robin
+        order of the old two-pass scan, for both body styles."""
         log = []
 
         def body():
@@ -92,20 +83,20 @@ class TestBasicParity:
                 log.append(me)
                 yield YIELD_NOW
 
-        fl = _flags(sched_event_loop=True)
-        spmd_run(body, ranks=4, flags=fl)
-        assert log[:4] == [0, 1, 2, 3]
-        log_ev = list(log)
-        log.clear()
         spmd_run(body, ranks=4)
-        assert log == log_ev
+        assert log[:4] == [0, 1, 2, 3]
+        log_gen = list(log)
+        log.clear()
+        spmd_run(as_shim(body), ranks=4)
+        assert log == log_gen
 
     def test_block_until_producer_consumer(self):
         def body():
             ctx = current_ctx()
+            if not hasattr(ctx.world, "shared"):
+                ctx.world.shared = []  # type: ignore[attr-defined]
             box = ctx.world.shared  # type: ignore[attr-defined]
-            me = rank_me()
-            if me == 0:
+            if rank_me() == 0:
                 yield YIELD_NOW
                 box.append("ping")
                 yield BlockUntil(lambda: len(box) == 2)
@@ -114,35 +105,32 @@ class TestBasicParity:
             box.append("pong")
             return box[0]
 
-        def run(flags):
-            tr = []
-            world_box = []
-
-            def wrapped():
-                ctx = current_ctx()
-                ctx.world.shared = world_box  # type: ignore[attr-defined]
-                return (yield from body())
-
-            r = spmd_run(wrapped, ranks=2, flags=flags, switch_trace=tr)
-            return r.values, tr
-
-        v_th, t_th = run(_flags())
-        v_ev, t_ev = run(_flags(sched_event_loop=True))
-        assert v_ev == v_th == ["pong", "ping"]
-        assert t_ev == t_th
+        gen, _ = run_both(body, ranks=2)
+        assert gen[0] == ["pong", "ping"]
 
     def test_plain_function_rides_the_shim(self):
-        """Un-ported (non-generator) bodies run under the thread shim and
-        stay observably identical."""
-        def body():
+        """A hand-written blocking body is observably identical to its
+        generator form."""
+        def blocking():
             barrier()
-            ctx = current_ctx()
-            ctx.yield_to_others()
+            current_ctx().yield_to_others()
             barrier()
             return rank_me()
 
-        r_th, r_ev = run_both(body, ranks=6)
-        assert r_th.values == list(range(6))
+        def generator():
+            yield from barrier_gen()
+            yield YIELD_NOW
+            yield from barrier_gen()
+            return rank_me()
+
+        runs = []
+        for body in (blocking, generator):
+            trace = []
+            res = spmd_run(body, ranks=6, switch_trace=trace)
+            runs.append(run_fingerprint(res, trace))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == list(range(6))
+        assert _shim_threads() == []
 
 
 class TestDeadlockParity:
@@ -150,19 +138,17 @@ class TestDeadlockParity:
         def body():
             yield BlockUntil(lambda: False)
 
-        tr_th, tr_ev = [], []
-        with pytest.raises(DeadlockError) as ei_th:
-            spmd_run(body, ranks=3, switch_trace=tr_th)
-        with pytest.raises(DeadlockError) as ei_ev:
-            spmd_run(body, ranks=3, flags=_flags(sched_event_loop=True),
-                     switch_trace=tr_ev)
-        assert str(ei_ev.value) == str(ei_th.value)
-        assert "states:" in str(ei_ev.value)
+        msgs = []
+        for fn in (body, as_shim(body)):
+            trace = []
+            with pytest.raises(DeadlockError) as ei:
+                spmd_run(fn, ranks=3, switch_trace=trace)
+            msgs.append((str(ei.value), trace))
+        assert msgs[0] == msgs[1]
+        assert "states:" in msgs[0][0]
         for r in range(3):
-            assert f"{r}:" in str(ei_ev.value)
-        assert _truncate(tr_ev) == _truncate(tr_th)
-        assert tr_ev[-1][0] == "deadlock" or ("deadlock" in
-                                              [e[0] for e in tr_ev])
+            assert f"{r}:" in msgs[0][0]
+        assert "deadlock" in [e[0] for e in msgs[0][1]]
 
     def test_partial_deadlock_after_finishes(self):
         """The finish-path declaration: the last runnable rank completes
@@ -183,13 +169,11 @@ class TestDeadlockParity:
             finally:
                 cleaned.append(rank_me())
 
-        with pytest.raises(DeadlockError):
-            spmd_run(body, ranks=3, flags=_flags(sched_event_loop=True))
-        assert sorted(cleaned) == [0, 1, 2]
-        cleaned.clear()
-        with pytest.raises(DeadlockError):
-            spmd_run(body, ranks=3)
-        assert sorted(cleaned) == [0, 1, 2]
+        for fn in (body, as_shim(body)):
+            with pytest.raises(DeadlockError):
+                spmd_run(fn, ranks=3)
+            assert sorted(cleaned) == [0, 1, 2]
+            cleaned.clear()
 
 
 class TestFailureParity:
@@ -206,14 +190,12 @@ class TestFailureParity:
 
         # rank 0 blocks at the barrier, rank 1 fails before ranks 2/3 ever
         # start: started ranks unwind (finally runs), never-started ranks
-        # run no user code at all — identically on both substrates
-        with pytest.raises(ValueError, match="kaboom"):
-            spmd_run(body, ranks=4, flags=_flags(sched_event_loop=True))
-        assert sorted(cleaned) == [0, 1]
-        cleaned.clear()
-        with pytest.raises(ValueError, match="kaboom"):
-            spmd_run(body, ranks=4)
-        assert sorted(cleaned) == [0, 1]
+        # run no user code at all — for both body styles
+        for fn in (body, as_shim(body)):
+            with pytest.raises(ValueError, match="kaboom"):
+                spmd_run(fn, ranks=4)
+            assert sorted(cleaned) == [0, 1]
+            cleaned.clear()
 
     def test_failure_unwinds_all_started_ranks(self):
         cleaned = []
@@ -227,28 +209,24 @@ class TestFailureParity:
             finally:
                 cleaned.append(rank_me())
 
-        with pytest.raises(ValueError, match="kaboom"):
-            spmd_run(body, ranks=4, flags=_flags(sched_event_loop=True))
-        assert sorted(cleaned) == [0, 1, 2, 3]
-        cleaned.clear()
-        with pytest.raises(ValueError, match="kaboom"):
-            spmd_run(body, ranks=4)
-        assert sorted(cleaned) == [0, 1, 2, 3]
+        for fn in (body, as_shim(body)):
+            with pytest.raises(ValueError, match="kaboom"):
+                spmd_run(fn, ranks=4)
+            assert sorted(cleaned) == [0, 1, 2, 3]
+            cleaned.clear()
 
     def test_first_error_wins(self):
         def body():
             raise KeyError(f"r{rank_me()}")
             yield  # pragma: no cover - makes this a generator function
 
-        # rank 0 errors before any other rank has started on both
-        # substrates, so its error is the one that propagates
-        tr_th, tr_ev = [], []
-        with pytest.raises(KeyError, match="r0"):
-            spmd_run(body, ranks=3, switch_trace=tr_th)
-        with pytest.raises(KeyError, match="r0"):
-            spmd_run(body, ranks=3, flags=_flags(sched_event_loop=True),
-                     switch_trace=tr_ev)
-        assert _truncate(tr_ev) == _truncate(tr_th) == [("fail", 0)]
+        # rank 0 errors before any other rank has started, so its error
+        # is the one that propagates
+        for fn in (body, as_shim(body)):
+            trace = []
+            with pytest.raises(KeyError, match="r0"):
+                spmd_run(fn, ranks=3, switch_trace=trace)
+            assert trace == [("fail", 0)]
 
     def test_teardown_error_type_for_survivors(self):
         seen = []
@@ -262,10 +240,156 @@ class TestFailureParity:
                 seen.append(str(exc))
                 raise
 
-        with pytest.raises(RuntimeError, match="boom"):
-            spmd_run(body, ranks=3, flags=_flags(sched_event_loop=True))
-        assert len(seen) == 2
-        assert all("tearing down" in s for s in seen)
+        for fn in (body, as_shim(body)):
+            with pytest.raises(RuntimeError, match="boom"):
+                spmd_run(fn, ranks=3)
+            assert len(seen) == 2
+            assert all("tearing down" in s for s in seen)
+            seen.clear()
+
+
+class TestRobustness:
+    """Failure paths, each run with the generator body and its shim form:
+    the first error wins, every survivor unwinds with the teardown
+    ``DeadlockError``, and no shim thread outlives the job."""
+
+    @staticmethod
+    def _run(body, ranks, expect):
+        outcomes = []
+        for fn in (body, as_shim(body)):
+            seen = {}
+            trace = []
+            with pytest.raises(expect) as ei:
+                spmd_run(fn, ranks=ranks, args=(seen,), switch_trace=trace)
+            assert _shim_threads() == []
+            outcomes.append((type(ei.value), str(ei.value), seen, trace))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    def test_rank_raising_mid_barrier(self):
+        def body(seen):
+            me = rank_me()
+            yield from barrier_gen()
+            if me == 2:
+                raise ValueError("rank 2 failed")
+            try:
+                yield from barrier_gen()
+            except DeadlockError as exc:
+                seen[me] = str(exc)
+                if me == 3:
+                    # a survivor failing during teardown is an echo: it
+                    # must not replace the first error
+                    raise RuntimeError("rank 3 echo") from exc
+                raise
+
+        _, msg, seen, _ = self._run(body, 4, ValueError)
+        assert msg == "rank 2 failed"
+        assert sorted(seen) == [0, 1, 3]
+        assert all("tearing down" in s and "rank 2 failed" in s
+                   for s in seen.values())
+
+    def test_rank_raising_mid_future_wait(self):
+        def body(seen):
+            me = rank_me()
+            yield from barrier_gen()
+            if me == 0:
+                yield YIELD_NOW  # let every peer park in its wait first
+                raise ValueError("rank 0 failed")
+            fut = Promise().get_future()  # never fulfilled
+            try:
+                yield from fut.wait_gen()
+            except DeadlockError as exc:
+                seen[me] = str(exc)
+                raise
+
+        _, msg, seen, trace = self._run(body, 3, ValueError)
+        assert msg == "rank 0 failed"
+        assert sorted(seen) == [1, 2]
+        assert all("tearing down" in s for s in seen.values())
+        assert ("fail", 0) in trace
+
+    def test_deadlock_dump_and_teardown(self):
+        def body(seen):
+            me = rank_me()
+            yield from barrier_gen()
+            try:
+                yield from Promise().get_future().wait_gen()
+            except DeadlockError as exc:
+                seen[me] = str(exc)
+                raise
+
+        _, msg, seen, trace = self._run(body, 3, DeadlockError)
+        assert msg.startswith("all simulated ranks are blocked")
+        assert "(states: 0:blocked, 1:blocked, 2:blocked)" in msg
+        assert trace[-1] == ("deadlock", ("blocked",) * 3)
+        # the declaring rank sees the state dump, the others the wrap
+        assert [s == msg for s in seen.values()].count(True) == 1
+        assert sum("tearing down" in s for s in seen.values()) == 2
+
+    def test_removed_substrate_flag_is_rejected(self):
+        flags = flags_for(Version.V2021_3_6_EAGER)
+        with pytest.raises(TypeError):
+            flags.replace(sched_event_loop=True)
+
+
+class TestWorldReclamation:
+    def test_finished_world_is_reclaimed_by_the_next_job(self):
+        """A finished job's World is cyclic garbage; spmd_run collects it
+        before building the next world even when automatic collection
+        never runs."""
+        def body():
+            yield from barrier_gen()
+            return rank_me()
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            res = spmd_run(body, ranks=4)
+            world = weakref.ref(res.world)
+            del res
+            spmd_run(body, ranks=4)
+            assert world() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_promoted_world_is_left_to_a_full_collection(self):
+        """The limit of the young-generation collection: a job that
+        allocates enough to trigger an automatic gen-1 collection while it
+        runs promotes its live world to the oldest generation, which the
+        next job's collection does not scan.  That world is still plain
+        garbage, freed by the next full collection."""
+        def body():
+            # ~30 automatic gen-0 collections, so at least two gen-1 ones
+            junk = [[] for _ in range(20_000)]
+            yield from barrier_gen()
+            return len(junk)
+
+        collected = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                collected.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(on_gc)
+        try:
+            res = spmd_run(body, ranks=2)
+            gc.disable()
+            assert max(collected) >= 1
+            world = weakref.ref(res.world)
+            del res
+            spmd_run(body, ranks=2)
+            assert world() is not None
+            gc.collect()
+            assert world() is None
+        finally:
+            gc.callbacks.remove(on_gc)
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
 
 
 class TestInlineGuards:
@@ -277,7 +401,7 @@ class TestInlineGuards:
                     ctx.block_until(lambda: False)
             yield from barrier_gen()
 
-        spmd_run(body, ranks=2, flags=_flags(sched_event_loop=True))
+        spmd_run(body, ranks=2)
 
     def test_inline_yield_with_runnable_peer_raises(self):
         def body():
@@ -288,7 +412,7 @@ class TestInlineGuards:
                     ctx.yield_to_others()
             yield from barrier_gen()
 
-        spmd_run(body, ranks=2, flags=_flags(sched_event_loop=True))
+        spmd_run(body, ranks=2)
 
     def test_inline_calls_fine_when_alone(self):
         """A 1-rank world never switches, so inline blocking primitives
@@ -300,59 +424,58 @@ class TestInlineGuards:
             return "ok"
             yield  # pragma: no cover - makes this a generator function
 
-        r = spmd_run(body, ranks=1, flags=_flags(sched_event_loop=True))
+        r = spmd_run(body, ranks=1)
         assert r.values == ["ok"]
 
 
 class TestGupsFlagMatrixParity:
-    """Spot checks over the existing flag-matrix axes: the substrates must
-    agree on functional results and virtual clocks for every build."""
+    """Spot checks over the existing flag-matrix axes: generator and shim
+    bodies must agree on functional results and virtual clocks for every
+    build."""
+
+    @staticmethod
+    def _both(cfg, **kw):
+        from repro.apps.gups import run_gups
+
+        r_gen = run_gups(cfg, **kw)
+        with shim_gups():
+            r_shim = run_gups(cfg, **kw)
+        assert r_gen.checksum == r_shim.checksum
+        assert r_gen.solve_ns == r_shim.solve_ns
+        assert r_gen.gups == r_shim.gups
+        assert r_gen.progress_polls == r_shim.progress_polls
+        assert (r_gen.table == r_shim.table).all()
 
     @pytest.mark.parametrize("variant", ["rma_promise", "rma_future", "agg"])
     @pytest.mark.parametrize("version", [Version.V2021_3_6_EAGER,
                                          Version.V2021_3_6_DEFER])
     def test_gups_variant_parity(self, variant, version):
-        from repro.apps.gups import GupsConfig, run_gups
+        from repro.apps.gups import GupsConfig
 
         cfg = GupsConfig(variant=variant, table_log2=8,
                          updates_per_rank=16, batch=8)
-        kw = dict(ranks=4, version=version, machine="generic",
-                  conduit="udp", n_nodes=2)
-        base = flags_for(version)
+        flags = flags_for(version)
         if variant == "agg":
-            base = dataclasses.replace(base, am_aggregation=True)
-        r_th = run_gups(cfg, flags=base, **kw)
-        r_ev = run_gups(
-            cfg, flags=dataclasses.replace(base, sched_event_loop=True), **kw
-        )
-        assert r_ev.checksum == r_th.checksum
-        assert r_ev.solve_ns == r_th.solve_ns
-        assert r_ev.gups == r_th.gups
-        assert (r_ev.table == r_th.table).all()
+            flags = flags.replace(am_aggregation=True)
+        self._both(cfg, ranks=4, version=version, machine="generic",
+                   conduit="udp", n_nodes=2, flags=flags)
 
     def test_wait_hints_and_adaptive_axes(self):
-        from repro.apps.gups import GupsConfig, run_gups
+        from repro.apps.gups import GupsConfig
 
         cfg = GupsConfig(variant="wait_hints", table_log2=8,
                          updates_per_rank=16, batch=8)
-        base = dataclasses.replace(
-            flags_for(Version.V2021_3_6_DEFER),
+        flags = flags_for(Version.V2021_3_6_DEFER).replace(
             wait_hints=True, progress_adaptive=True, obs_spans=True,
         )
-        kw = dict(ranks=4, version=Version.V2021_3_6_DEFER,
-                  machine="generic", conduit="udp", n_nodes=2)
-        r_th = run_gups(cfg, flags=base, **kw)
-        r_ev = run_gups(
-            cfg, flags=dataclasses.replace(base, sched_event_loop=True), **kw
-        )
-        assert r_ev.checksum == r_th.checksum
-        assert r_ev.solve_ns == r_th.solve_ns
+        self._both(cfg, ranks=4, version=Version.V2021_3_6_DEFER,
+                   machine="generic", conduit="udp", n_nodes=2, flags=flags)
 
 
 class TestFuzzParity:
     """Property tests on seeded fuzz programs: for any generated program
-    and any mode, the two substrates produce the same FuzzOutcome —
-    tables, per-op values, completion counts, *and clocks*."""
+    and any mode, both body styles produce the same FuzzOutcome — tables,
+    per-op values, completion counts, *and clocks*."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_outcomes_identical(self, seed):
@@ -361,32 +484,24 @@ class TestFuzzParity:
 
         mode = MODES[seed % len(MODES)]
         assert run_program(program, mode, "event") == run_program(
-            program, mode, "thread"
+            program, mode, "shim"
         )
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_switch_traces_identical(self, seed):
         program = generate_program(seed)
         version, flags = mode_flags("hinted")
-        tr_th, tr_ev = [], []
-        kw = dict(
-            ranks=program.ranks, version=version, machine="generic",
+        run_both(
+            _fuzz_body, ranks=program.ranks, args=(program,),
+            version=version, flags=flags, machine="generic",
             conduit=program.conduit, n_nodes=program.n_nodes,
-            seed=program.seed, args=(program,),
+            seed=program.seed,
         )
-        r_th = spmd_run(_fuzz_body, flags=flags, switch_trace=tr_th, **kw)
-        r_ev = spmd_run(
-            _fuzz_body,
-            flags=flags.replace(sched_event_loop=True),
-            switch_trace=tr_ev,
-            **kw,
-        )
-        assert tr_ev == tr_th
-        assert r_ev.values == r_th.values
 
     def test_check_program_covers_both_substrates(self):
         from repro.fuzz import SCHEDULERS, check_program
 
+        assert SCHEDULERS == ("shim", "event")
         program = generate_program(5)
         assert check_program(program, schedulers=SCHEDULERS) == []
 
@@ -403,36 +518,31 @@ class TestCostBatching:
 
         cfg = GupsConfig(variant="rma_promise", table_log2=8,
                          updates_per_rank=32, batch=8)
-        flags = _flags(sched_event_loop=True)
         with per_charge_costs():
-            r_plain = run_gups(cfg, ranks=4, machine="generic", flags=flags)
-        r_dense = run_gups(cfg, ranks=4, machine="generic", flags=flags)
+            r_plain = run_gups(cfg, ranks=4, machine="generic")
+        r_dense = run_gups(cfg, ranks=4, machine="generic")
         assert r_dense.checksum == r_plain.checksum
         assert r_dense.solve_ns == r_plain.solve_ns
 
     def test_counts_merge_lazily(self):
         """Per-rank counts, clocks and switch traces of a fuzz program
-        match the per-charge reference on both substrates."""
+        match the per-charge reference for both body styles."""
         program = generate_program(7)
         kw = dict(ranks=program.ranks, machine="generic",
                   conduit=program.conduit, n_nodes=program.n_nodes,
                   seed=program.seed, args=(program,))
-        for flags in (_flags(), _flags(sched_event_loop=True)):
+        for body in (_fuzz_body, as_shim(_fuzz_body)):
             tr_plain, tr_dense = [], []
             with per_charge_costs():
-                r_plain = spmd_run(_fuzz_body, flags=flags,
-                                   switch_trace=tr_plain, **kw)
-            r_dense = spmd_run(_fuzz_body, flags=flags,
-                               switch_trace=tr_dense, **kw)
+                r_plain = spmd_run(body, switch_trace=tr_plain, **kw)
+            r_dense = spmd_run(body, switch_trace=tr_dense, **kw)
             assert all(type(c.costs) is NoisyCostModel
                        for c in r_plain.world.contexts)
             assert all(type(c.costs) is CostModel
                        for c in r_dense.world.contexts)
-            assert r_dense.values == r_plain.values
-            assert tr_dense == tr_plain
-            for cp, cd in zip(r_plain.world.contexts, r_dense.world.contexts):
-                assert cd.costs.snapshot() == cp.costs.snapshot()
-                assert cd.clock._units == cp.clock._units
+            assert run_fingerprint(r_dense, tr_dense) == run_fingerprint(
+                r_plain, tr_plain
+            )
 
     def test_noise_auto_disables_default_batching(self):
         """``noise`` on a default build selects the per-charge noisy
@@ -455,7 +565,7 @@ class TestCostBatching:
 
         r_default = spmd_run(body, ranks=2, noise=0.1, seed=3)
         r_explicit = spmd_run(body, ranks=2, noise=0.1, seed=3,
-                              flags=_flags())
+                              flags=flags_for(Version.V2021_3_6_EAGER))
         assert r_explicit.values == r_default.values
         noiseless = 50 * r_default.world.contexts[0].profile.cost_ns(
             CostAction.HEAP_ALLOC_PROMISE_CELL

@@ -37,13 +37,15 @@ and aggregation axes — that is the paper's whole subject — so no
 cross-axis timing equality is asserted beyond the rows above.
 
 Two further axis families are swept separately below: the mechanism
-axes (``sched_wake_list`` and the per-charge reference cost model — pure
-implementation strategies, bit-identical on every observable) and
+axes (``sched_wake_list``, the per-charge reference cost model and the
+thread-shim body style — pure implementation strategies, bit-identical
+on every observable) and
 ``cx_continuations`` (a *gate* on the continuation/counter completion
 kinds: bit-identical for workloads that request neither, documented
 expectations for the ``cont`` workload that does).
 """
 
+import contextlib
 import itertools
 
 import pytest
@@ -52,7 +54,7 @@ from repro.apps import gups
 from repro.apps.gups import GupsConfig, run_gups
 from repro.runtime.config import flags_for
 from repro.runtime.runtime import spmd_run
-from tests.conftest import VD, VE, per_charge_costs
+from tests.conftest import VD, VE, per_charge_costs, shim_gups
 
 AXES = (
     "am_aggregation",
@@ -169,21 +171,21 @@ class TestMatrix:
                 assert hinted.am_injects == base.am_injects, (version, on)
 
 
-# Scheduler-mechanism axes: ``sched_wake_list`` and the cost model are
-# pure implementation strategies — swapping either must be bit-identical
-# on *every* observable (per-rank results, clocks, action counts and the
-# switch trace), unlike the semantic axes above where only checksums are
-# pinned.  The ``scan`` variant turns ``sched_wake_list`` off; the
-# ``per_charge`` variant builds every rank's cost model as the per-charge
-# reference (``NoisyCostModel`` at noise 0) instead of the dense default.
-# Swept against a smaller base matrix (the three flags that most reshape
-# scheduling/progress behavior, on both scheduler substrates) to keep the
-# run count reasonable.
+# Scheduler-mechanism axes: ``sched_wake_list``, the cost model and the
+# body style are pure implementation strategies — swapping any of them
+# must be bit-identical on *every* observable (per-rank results, clocks,
+# action counts and the switch trace), unlike the semantic axes above
+# where only checksums are pinned.  The ``scan`` variant turns
+# ``sched_wake_list`` off; the ``per_charge`` variant builds every rank's
+# cost model as the per-charge reference (``NoisyCostModel`` at noise 0)
+# instead of the dense default; the ``shim`` variant runs the GUPS body
+# behind a plain function, every rank on its thread shim.  Swept against
+# a smaller base matrix (the three flags that most reshape
+# scheduling/progress behavior) to keep the run count reasonable.
 MECH_BASE_AXES = (
     "am_aggregation",
     "progress_adaptive",
     "wait_hints",
-    "sched_event_loop",
 )
 
 
@@ -223,8 +225,9 @@ class TestMechanismFlagsBitIdentical:
     @pytest.fixture(scope="class")
     def mech_matrix(self):
         """(version, on-set, variant) -> observables, where variant is
-        ``base`` (defaults: wake list on, dense cost model), ``scan``
-        (sched_wake_list off), or ``per_charge`` (reference cost model)."""
+        ``base`` (defaults: wake list on, dense cost model, generator
+        body), ``scan`` (sched_wake_list off), ``per_charge`` (reference
+        cost model) or ``shim`` (thread-shim body)."""
         results = {}
         for version in (VE, VD):
             for bits in itertools.product(
@@ -243,6 +246,8 @@ class TestMechanismFlagsBitIdentical:
                 )
                 with per_charge_costs():
                     results[key + ("per_charge",)] = _observe(flags, version)
+                with shim_gups():
+                    results[key + ("shim",)] = _observe(flags, version)
         return results
 
     def _assert_identical(self, mech_matrix, variant):
@@ -260,6 +265,9 @@ class TestMechanismFlagsBitIdentical:
     def test_cost_batching_bit_identical(self, mech_matrix):
         self._assert_identical(mech_matrix, "per_charge")
 
+    def test_shim_body_bit_identical(self, mech_matrix):
+        self._assert_identical(mech_matrix, "shim")
+
 
 # The ``cx_continuations`` axis: the flag *gates* two new completion
 # kinds (continuations, counters — DESIGN.md §13) but must be perfectly
@@ -272,7 +280,6 @@ class TestMechanismFlagsBitIdentical:
 CX_BASE_AXES = (
     "am_aggregation",
     "progress_adaptive",
-    "sched_event_loop",
 )
 
 CX_CFG = GupsConfig(
@@ -314,21 +321,24 @@ class TestCxContinuationsDimension:
 
     @pytest.fixture(scope="class")
     def cx_on_matrix(self):
-        """(version, on-set) -> cont-workload result, flag on."""
+        """(version, on-set, shim?) -> cont-workload result, flag on,
+        generator body or thread-shim body."""
         results = {}
         for version, on in _cx_combos():
             flags = flags_for(version).replace(
                 **{name: True for name in on}, cx_continuations=True
             )
-            results[(version, frozenset(on))] = run_gups(
-                CX_CFG,
-                ranks=4,
-                n_nodes=2,
-                conduit="udp",
-                version=version,
-                machine="generic",
-                flags=flags,
-            )
+            for shim in (False, True):
+                with shim_gups() if shim else contextlib.nullcontext():
+                    results[(version, frozenset(on), shim)] = run_gups(
+                        CX_CFG,
+                        ranks=4,
+                        n_nodes=2,
+                        conduit="udp",
+                        version=version,
+                        machine="generic",
+                        flags=flags,
+                    )
         return results
 
     def test_flag_bit_identical_without_requests(self, cx_off_matrix):
@@ -344,8 +354,8 @@ class TestCxContinuationsDimension:
 
     def test_cont_workload_matches_oracle_everywhere(self, cx_on_matrix):
         bad = [
-            (version, sorted(on))
-            for (version, on), res in cx_on_matrix.items()
+            (version, sorted(on), shim)
+            for (version, on, shim), res in cx_on_matrix.items()
             if not res.matches_oracle
         ]
         assert not bad, f"checksum mismatches: {bad}"
@@ -366,12 +376,12 @@ class TestCxContinuationsDimension:
         assert modes == {"eager"}, modes
 
     def test_event_loop_substrate_bit_identical(self, cx_on_matrix):
-        """The cont workload is substrate-independent: each combo's
-        event-loop run reproduces the thread run exactly."""
-        for (version, on), res in cx_on_matrix.items():
-            if "sched_event_loop" in on:
+        """The cont workload is body-style-independent: each combo's
+        continuation run reproduces the thread-shim run exactly."""
+        for (version, on, shim), res in cx_on_matrix.items():
+            if shim:
                 continue
-            other = cx_on_matrix[(version, on | {"sched_event_loop"})]
+            other = cx_on_matrix[(version, on, True)]
             key = (version, sorted(on))
             assert other.solve_ns == res.solve_ns, key
             assert other.checksum == res.checksum, key

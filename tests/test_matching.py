@@ -1,13 +1,10 @@
 """Tests for the distributed half-approximate matching application."""
 
-import dataclasses
-
 import pytest
 
 from repro.apps.graphs import GRAPH_NAMES, Graph, make_graph
 from repro.apps.matching import (
     MatchingConfig,
-    _matching_body,
     _matching_body_gen,
     matching_weight,
     pack_msg,
@@ -16,8 +13,9 @@ from repro.apps.matching import (
     unpack_msg,
 )
 from repro.runtime.config import Version, flags_for
+from repro.runtime.event_loop import as_shim
 from repro.runtime.runtime import spmd_run
-from tests.conftest import ALL_VERSIONS
+from tests.conftest import ALL_VERSIONS, run_fingerprint
 
 
 class TestMessagePacking:
@@ -150,39 +148,36 @@ class TestPaperShape:
 
 
 class TestContinuationParity:
-    """Generator-ported solver vs thread-shim wrapper: identical mates,
-    per-rank virtual clocks, scheduler switch counts, and switch traces
-    on both substrates."""
+    """The generator solver run as a continuation vs the same body behind
+    a plain ``lambda`` (thread shim): identical mates, per-rank clock
+    units and action counts, switch counts and switch traces."""
 
-    def _run(self, body, *, event_loop):
-        cfg = MatchingConfig(graph="random", scale=1)
+    def _run(self, body, cfg=None, *, wake_list=True,
+             version=Version.V2021_3_6_EAGER):
+        cfg = cfg or MatchingConfig(graph="random", scale=1)
         g = cfg.build_graph()
-        flags = dataclasses.replace(
-            flags_for(Version.V2021_3_6_EAGER),
-            sched_event_loop=event_loop,
-        )
+        flags = flags_for(version).replace(sched_wake_list=wake_list)
         trace = []
         res = spmd_run(
             body, args=(g, cfg), ranks=4, machine="generic",
-            conduit="mpi", seed=cfg.seed, segment_bytes=1 << 20,
-            flags=flags, switch_trace=trace,
+            version=version, conduit="mpi", seed=cfg.seed,
+            segment_bytes=1 << 20, flags=flags, switch_trace=trace,
         )
-        clocks = tuple(c.clock.now_ns for c in res.world.contexts)
-        return res.values, clocks, res.world.sched_switches, trace
+        return run_fingerprint(res, trace)
 
-    @pytest.mark.parametrize("event_loop", [False, True])
-    def test_generator_body_matches_blocking_body(self, event_loop):
-        gen = self._run(_matching_body_gen, event_loop=event_loop)
-        blk = self._run(
-            lambda gg, cc: _matching_body(gg, cc), event_loop=event_loop
-        )
+    @pytest.mark.parametrize("wake_list", [False, True])
+    def test_generator_body_matches_blocking_body(self, wake_list):
+        gen = self._run(_matching_body_gen, wake_list=wake_list)
+        blk = self._run(as_shim(_matching_body_gen), wake_list=wake_list)
         assert gen == blk
-        assert gen[2] > 0
+        assert gen[3] > 0
 
     def test_substrates_agree_on_generator_body(self):
-        ev = self._run(_matching_body_gen, event_loop=True)
-        th = self._run(_matching_body_gen, event_loop=False)
-        assert ev == th
+        """Both oracles at once: the generator on wake lists against the
+        shim on the predicate scan."""
+        ev = self._run(_matching_body_gen)
+        sh = self._run(as_shim(_matching_body_gen), wake_list=False)
+        assert ev == sh
 
     @pytest.mark.parametrize("version", ALL_VERSIONS)
     def test_run_matching_results_identical(self, version):
@@ -190,13 +185,15 @@ class TestContinuationParity:
         g = cfg.build_graph()
         a = run_matching(
             cfg, ranks=4, version=version, graph=g, machine="generic",
-            continuation=True,
         )
-        b = run_matching(
-            cfg, ranks=4, version=version, graph=g, machine="generic",
-            continuation=False,
-        )
-        assert a.mate == b.mate == serial_matching(g)
-        assert a.solve_ns == b.solve_ns
-        assert a.rounds == b.rounds
-        assert a.cross_messages == b.cross_messages
+        values = self._run(
+            as_shim(_matching_body_gen), cfg, version=version
+        )[0]
+        mate = [-1] * g.n
+        for *_, r_mate in values:
+            for v, m in r_mate.items():
+                mate[v] = m
+        assert a.mate == mate == serial_matching(g)
+        assert a.solve_ns == max(v[0] for v in values)
+        assert a.rounds == max(v[1] for v in values)
+        assert a.cross_messages == sum(v[2] for v in values)

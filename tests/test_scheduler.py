@@ -1,5 +1,5 @@
-"""Unit tests for the cooperative token-passing scheduler (run through
-spmd_run, which is its only supported entry point)."""
+"""Unit tests for the cooperative scheduler through spmd_run with
+plain-function bodies (each rank on its thread shim)."""
 
 import pytest
 

@@ -3,8 +3,9 @@
 The serving benchmark's claims rest on invariants pinned here:
 
 * **determinism** — a run is a pure function of its config: same seed
-  twice is bit-identical, and the event-loop scheduler substrate
-  reproduces the thread substrate tick for tick;
+  twice is bit-identical, and the serving body behind a plain ``lambda``
+  (every rank on its thread shim) reproduces the continuation tick for
+  tick;
 * **zero perturbation** — turning request-span observability on changes
   *nothing* about virtual time or the latency sketches, and turning it
   off allocates no spans at all (the request path performs one
@@ -24,11 +25,13 @@ import dataclasses
 
 import pytest
 
-from repro.runtime.config import Version, flags_for
-from repro.serve import PHASES, ServeConfig, run_serve
+from repro.runtime.config import Version
+from repro.runtime.event_loop import as_shim
+from repro.runtime.runtime import spmd_run
+from repro.serve import PHASES, ServeConfig, driver, run_serve
 from repro.serve.driver import merge_serve_snapshots, sketch_key
 from repro.serve.workload import KCLASSES
-from tests.conftest import VE, obs_flags
+from tests.conftest import VE, obs_flags, run_fingerprint
 
 #: Small but non-trivial: 4 ranks x 64 requests, 128 keys, moderate load.
 CFG = ServeConfig(
@@ -72,17 +75,30 @@ class TestDeterminism:
         b = serve("baseline-again")
         assert fingerprint(a) == fingerprint(b)
 
-    def test_event_loop_substrate_matches_threads(self):
+    def test_event_loop_substrate_matches_threads(self, monkeypatch):
+        """Continuation ranks vs the same body on thread shims, end to
+        end through ``run_serve``."""
         a = baseline()
-        b = serve(
-            "evloop", flags=flags_for(VE).replace(sched_event_loop=True)
+        monkeypatch.setattr(
+            driver, "_serve_body_gen", as_shim(driver._serve_body_gen)
         )
+        b = run_serve(CFG, ranks=RANKS)
         assert fingerprint(a) == fingerprint(b)
 
     def test_blocking_body_matches_continuation(self):
-        a = baseline()
-        b = serve("blocking", continuation=False)
-        assert fingerprint(a) == fingerprint(b)
+        """Per-rank values, clock units, action counts and switch traces
+        of the generator body vs its shim form."""
+        runs = []
+        for body in (driver._serve_body_gen,
+                     as_shim(driver._serve_body_gen)):
+            trace = []
+            res = spmd_run(
+                body, args=(CFG,), ranks=RANKS, machine="intel",
+                seed=CFG.seed, segment_bytes=1 << 17, switch_trace=trace,
+            )
+            runs.append(run_fingerprint(res, trace))
+        assert runs[0] == runs[1]
+        assert runs[0][3] > 0
 
 
 class TestZeroPerturbation:

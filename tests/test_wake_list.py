@@ -7,7 +7,7 @@ unchanged — the wake-bit promotion set provably equals the set of blocked
 ranks with true predicates, and the masked ring pick equals the scan's
 first-visited-ready rank.  These tests diff the two implementations on
 blocked-heavy programs (the regime the scan is slow in and the wake list
-exists for), on both scheduler substrates, with tracing on.
+exists for), for generator and thread-shim bodies, with tracing on.
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ from repro.errors import DeadlockError
 from repro.fuzz import MODES, generate_program
 from repro.fuzz.runner import run_program
 from repro.runtime.config import Version, flags_for
+from repro.runtime.event_loop import as_shim
 from repro.runtime.runtime import spmd_run
 from repro.runtime.switchpoints import BlockUntil
 from repro.sim.costmodel import CostAction
@@ -55,17 +56,15 @@ class TestTraceBitIdentity:
     """The headline regression: switch traces (every pick, block, yield)
     diff clean between wake-list and scan on barrier-dense programs."""
 
-    @pytest.mark.parametrize("event_loop", [False, True])
+    @pytest.mark.parametrize("shim", [False, True])
     @pytest.mark.parametrize("ranks", [2, 5, 16])
-    def test_barrier_storm_traces_identical(self, ranks, event_loop):
-        base = _flags(sched_event_loop=event_loop)
+    def test_barrier_storm_traces_identical(self, ranks, shim):
+        body = as_shim(_barrier_storm_body) if shim else _barrier_storm_body
         out_scan = _run_traced(
-            _barrier_storm_body, ranks=ranks, args=(6,),
-            flags=dataclasses.replace(base, sched_wake_list=False),
+            body, ranks=ranks, args=(6,), flags=_flags(sched_wake_list=False),
         )
         out_wake = _run_traced(
-            _barrier_storm_body, ranks=ranks, args=(6,),
-            flags=dataclasses.replace(base, sched_wake_list=True),
+            body, ranks=ranks, args=(6,), flags=_flags(sched_wake_list=True),
         )
         # values, clocks, switch count, and the full decision trace
         assert out_wake[:4] == out_scan[:4]
@@ -95,21 +94,21 @@ class TestTraceBitIdentity:
     @pytest.mark.parametrize("seed", [2, 9])
     def test_fuzz_outcomes_identical_across_modes(self, seed):
         """FuzzOutcome equality (tables, values, completions, clocks) for
-        wake-list vs scan under every fuzz mode on both substrates."""
+        wake-list vs scan under every fuzz mode for both body styles."""
+        from repro.fuzz.runner import _fuzz_body, mode_flags
+
         program = generate_program(seed)
         for mode in MODES:
-            for scheduler in ("thread", "event"):
+            for scheduler in ("shim", "event"):
                 base = run_program(program, mode, scheduler)
                 # run_program resolves flags internally; rebuild with the
                 # scan forced via the runner's flag hook
-                from repro.fuzz.runner import mode_flags
-                from repro.fuzz.runner import _fuzz_body
-
                 version, flags = mode_flags(mode)
-                if scheduler == "event":
-                    flags = flags.replace(sched_event_loop=True)
+                body = _fuzz_body
+                if scheduler == "shim":
+                    body = as_shim(_fuzz_body)
                 res = spmd_run(
-                    _fuzz_body, args=(program,), ranks=program.ranks,
+                    body, args=(program,), ranks=program.ranks,
                     version=version, machine="generic",
                     conduit=program.conduit, n_nodes=program.n_nodes,
                     seed=program.seed,
@@ -131,8 +130,8 @@ class TestUnkeyedFallback:
     """Blocks without a recognized wake key must drop the scheduler back
     to the exact legacy predicate scan (and recover once they wake)."""
 
-    @pytest.mark.parametrize("event_loop", [False, True])
-    def test_unkeyed_block_runs_and_matches_scan(self, event_loop):
+    @pytest.mark.parametrize("shim", [False, True])
+    def test_unkeyed_block_runs_and_matches_scan(self, shim):
         def body():
             ctx = current_ctx()
             box = ctx.world.shared  # type: ignore[attr-defined]
@@ -157,16 +156,14 @@ class TestUnkeyedFallback:
                     ctx.world.shared = []  # type: ignore[attr-defined]
                 return (yield from body())
 
-            r = spmd_run(wrapped, ranks=2, flags=flags, switch_trace=trace)
+            r = spmd_run(
+                as_shim(wrapped) if shim else wrapped, ranks=2, flags=flags,
+                switch_trace=trace,
+            )
             return r.values, trace
 
-        base = _flags(sched_event_loop=event_loop)
-        v_scan, t_scan = run(
-            dataclasses.replace(base, sched_wake_list=False)
-        )
-        v_wake, t_wake = run(
-            dataclasses.replace(base, sched_wake_list=True)
-        )
+        v_scan, t_scan = run(_flags(sched_wake_list=False))
+        v_wake, t_wake = run(_flags(sched_wake_list=True))
         assert v_wake == v_scan == ["b", "a"]
         assert t_wake == t_scan
 
@@ -190,7 +187,7 @@ class TestUnkeyedFallback:
                 ctx.world.shared = []  # type: ignore[attr-defined]
             return (yield from body())
 
-        r = spmd_run(wrapped, ranks=3, flags=_flags(sched_event_loop=True))
+        r = spmd_run(wrapped, ranks=3)
         sched = r.world.scheduler
         assert sched._unkeyed == 0
         assert sched._blocked == 0
@@ -200,11 +197,11 @@ class TestSchedulerStateInvariants:
     """After any run, the wake-list bookkeeping must be fully drained:
     no leaked wake registrations, no stale bits."""
 
-    @pytest.mark.parametrize("event_loop", [False, True])
-    def test_masks_clean_after_success(self, event_loop):
+    @pytest.mark.parametrize("shim", [False, True])
+    def test_masks_clean_after_success(self, shim):
         r = spmd_run(
-            _barrier_storm_body, ranks=8, args=(4,),
-            flags=_flags(sched_event_loop=event_loop),
+            as_shim(_barrier_storm_body) if shim else _barrier_storm_body,
+            ranks=8, args=(4,),
         )
         sched = r.world.scheduler
         assert sched._ready_mask == 0  # every rank finished (_DONE)
@@ -215,22 +212,19 @@ class TestSchedulerStateInvariants:
         assert sched._unkeyed == 0
         assert sched._blocked == 0
 
-    @pytest.mark.parametrize("event_loop", [False, True])
-    def test_deadlock_identical_and_masks_drained(self, event_loop):
+    @pytest.mark.parametrize("shim", [False, True])
+    def test_deadlock_identical_and_masks_drained(self, shim):
         def body():
             if rank_me() == 0:
                 return "done"
             yield from barrier_gen()  # never completes: rank 0 left
 
-        base = _flags(sched_event_loop=event_loop)
         msgs = []
         for wake_list in (False, True):
             with pytest.raises(DeadlockError) as ei:
                 spmd_run(
-                    body, ranks=3,
-                    flags=dataclasses.replace(
-                        base, sched_wake_list=wake_list
-                    ),
+                    as_shim(body) if shim else body, ranks=3,
+                    flags=_flags(sched_wake_list=wake_list),
                 )
             msgs.append(str(ei.value))
         assert msgs[0] == msgs[1]
@@ -260,17 +254,14 @@ class TestSchedulerStateInvariants:
             yield from barrier_gen()
             return got
 
-        base = _flags(sched_event_loop=True)
         tr_scan, tr_wake = [], []
         r_scan = spmd_run(
             body, ranks=2, conduit="udp", n_nodes=2,
-            flags=dataclasses.replace(base, sched_wake_list=False),
-            switch_trace=tr_scan,
+            flags=_flags(sched_wake_list=False), switch_trace=tr_scan,
         )
         r_wake = spmd_run(
             body, ranks=2, conduit="udp", n_nodes=2,
-            flags=dataclasses.replace(base, sched_wake_list=True),
-            switch_trace=tr_wake,
+            flags=_flags(sched_wake_list=True), switch_trace=tr_wake,
         )
         assert r_wake.values == r_scan.values
         assert tr_wake == tr_scan
