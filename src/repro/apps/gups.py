@@ -210,15 +210,10 @@ class GupsResult:
     am_injects: int = 0
     am_bundles: int = 0
     am_agg_entries: int = 0
-    #: mean simulated parking latency of an aggregated entry (append to
-    #: flush; what the adaptive controller bounds for sparse traffic)
+    #: mean simulated parking latency of an aggregated entry (append to flush)
     agg_mean_parked_ns: float = 0.0
-    #: buffers force-flushed by the adaptive age bound
-    agg_age_flushes: int = 0
-    #: modeled framing bytes saved by bundle delta-compression
-    agg_bytes_saved: int = 0
-    #: the full world-wide aggregation rollup (histogram, flush-trigger
-    #: tally, adaptive counters) for report rendering
+    #: the world-wide aggregation rollup (histogram, flush-trigger tally)
+    #: for report rendering
     agg_stats: "AggregationStats | None" = None
 
     #: per-rank observability snapshots (``FeatureFlags.obs_spans`` runs
@@ -661,8 +656,6 @@ def run_gups(
         am_bundles=res.world.total_count(CostAction.AM_BUNDLE_HEADER),
         am_agg_entries=res.world.total_count(CostAction.AM_AGG_APPEND),
         agg_mean_parked_ns=agg.mean_parked_ns,
-        agg_age_flushes=agg.age_flushes,
-        agg_bytes_saved=agg.compression_saved_bytes,
         agg_stats=agg,
         obs_snapshots=obs_snaps,
         obs_stats=obs,

@@ -365,7 +365,7 @@ def format_span_timeline(snapshots, *, limit: int = 40) -> str:
 def format_aggregation_report(title: str, stats) -> str:
     """Render a world-wide :class:`~repro.sim.stats.AggregationStats`
     snapshot: bundle counts, the entries-per-bundle histogram, flush
-    triggers, parking latency, and the adaptive/compression tallies."""
+    triggers and parking latency."""
     rows = [
         ["entries appended", str(stats.appended)],
         ["bundles flushed", str(stats.bundles_flushed)],
@@ -373,11 +373,7 @@ def format_aggregation_report(title: str, stats) -> str:
         ["mean bundle size", f"{stats.mean_bundle_size:.2f}"],
         ["largest bundle", str(stats.largest_bundle)],
         ["mean parked (us)", f"{stats.mean_parked_ns / 1e3:.2f}"],
-        ["age-bound flushes", str(stats.age_flushes)],
         ["wait-hint flushes", str(stats.wait_flushes)],
-        ["adaptive updates", str(stats.adaptive_updates)],
-        ["threshold decisions", str(stats.threshold_decisions)],
-        ["framing bytes saved", str(stats.compression_saved_bytes)],
     ]
     for size in sorted(stats.bundle_size_hist):
         rows.append(

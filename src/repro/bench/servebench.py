@@ -78,7 +78,6 @@ def _mech(
     *,
     eager: bool,
     am_aggregation: bool = False,
-    agg_adaptive: bool = False,
     progress_adaptive: bool = False,
     wait_hints: bool = False,
 ):
@@ -87,14 +86,12 @@ def _mech(
     flags = dataclasses.replace(
         flags_for(version),
         am_aggregation=am_aggregation,
-        agg_adaptive=agg_adaptive,
         progress_adaptive=progress_adaptive,
         wait_hints=wait_hints,
     )
     mech = {
         "eager_notification": eager,
         "am_aggregation": am_aggregation,
-        "agg_adaptive": agg_adaptive,
         "progress_adaptive": progress_adaptive,
         "wait_hints": wait_hints,
     }
@@ -106,9 +103,6 @@ CONFIGS = {
     "defer": _mech(eager=False),
     "eager": _mech(eager=True),
     "eager+agg": _mech(eager=True, am_aggregation=True),
-    "eager+agg+adaptive": _mech(
-        eager=True, am_aggregation=True, agg_adaptive=True
-    ),
     "eager+adaptive": _mech(eager=True, progress_adaptive=True),
     "eager+hints": _mech(
         eager=True, progress_adaptive=True, wait_hints=True

@@ -10,9 +10,8 @@ The progress engine of :mod:`repro.runtime.progress` is static in two ways:
   no LPCs, no arrived AMs, no parked aggregation), which is the common
   case for wait loops spinning on a remote event.
 
-This module applies the same EWMA machinery as the aggregation controller
-(:mod:`repro.gasnet.adaptive`) to both dimensions.  Estimators, updated
-once per *full* poll (``a = flags.progress_ewma_alpha``)::
+This module applies EWMA control to both dimensions.  Estimators, updated
+once per *full* poll (``a = 0.25``)::
 
     d_hat <- a*depth + (1-a)*d_hat      deferred-queue depth at poll entry
     y_hat <- a*y     + (1-a)*y_hat      y = 1 if the poll did work else 0
@@ -20,8 +19,7 @@ once per *full* poll (``a = flags.progress_ewma_alpha``)::
 Control law::
 
     cap      = clamp(progress_min_batch, floor(1 + 2*d_hat), progress_max_batch)
-    interval = clamp(progress_min_poll_interval, floor(1 / max(y_hat, eps)),
-                     progress_max_poll_interval)
+    interval = clamp(1, floor(1 / max(y_hat, eps)), progress_max_poll_interval)
 
 ``cap`` bounds dispatches per poll — a 2x slack over the typical depth so
 steady traffic still drains to quiescence while a pathological backlog is
@@ -31,10 +29,10 @@ amortized across polls.  ``interval`` thins provably-empty polls: up to
 (``y_hat`` near 1) drives the interval back to 1.
 
 Latency guarantee — the batch cap must not strand notifications, so the
-engine enforces ``progress_max_age_ticks`` exactly like the aggregator's
-``agg_max_age_ticks``: an entry older than the bound is dispatched *past*
-the cap, and enqueue-time activity opportunistically retires aged entries
-(see :meth:`repro.runtime.progress.ProgressEngine.progress`).
+engine enforces ``progress_max_age_ticks``: an entry older than the bound
+is dispatched *past* the cap, and enqueue-time activity opportunistically
+retires aged entries (see
+:meth:`repro.runtime.progress.ProgressEngine.progress`).
 
 The controller is pure bookkeeping plus one cheap modeled charge
 (``PROGRESS_ADAPT`` per full poll, costed in every machine profile); its
@@ -51,9 +49,13 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.config import FeatureFlags
 
-#: retained control decisions per rank (same convention as the aggregation
-#: controller: a converged controller stops producing entries)
+#: retained control decisions per rank (a converged controller stops
+#: producing entries)
 TRAJECTORY_CAP = 1024
+#: blending factor of the depth and yield EWMA estimators
+_EWMA_ALPHA = 0.25
+#: floor of the poll-thinning interval (1 = a busy stream never elides)
+_MIN_POLL_INTERVAL = 1
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,7 @@ class AdaptiveProgressController:
     """Per-rank online sizing of the drain batch cap and poll cadence."""
 
     __slots__ = (
-        "alpha", "max_age_ns",
-        "floor_batch", "ceil_batch", "floor_interval", "ceil_interval",
+        "max_age_ns", "floor_batch", "ceil_batch", "ceil_interval",
         "depth_ewma", "yield_ewma", "_drain_cap", "_poll_interval",
         "_skips_since_full",
         "full_polls", "skipped_polls", "dispatched", "capped_polls",
@@ -121,18 +122,16 @@ class AdaptiveProgressController:
     )
 
     def __init__(self, flags: "FeatureFlags"):
-        self.alpha = flags.progress_ewma_alpha
         self.max_age_ns = flags.progress_max_age_ticks
         self.floor_batch = flags.progress_min_batch
         self.ceil_batch = flags.progress_max_batch
-        self.floor_interval = flags.progress_min_poll_interval
         self.ceil_interval = flags.progress_max_poll_interval
         self.depth_ewma: float | None = None
         self.yield_ewma: float | None = None
         # before any data: drain like the static engine (ceiling) and poll
         # on every call (floor) — the controller only deviates on evidence
         self._drain_cap = self.ceil_batch
-        self._poll_interval = self.floor_interval
+        self._poll_interval = _MIN_POLL_INTERVAL
         self._skips_since_full = 0
         self.full_polls = 0
         self.skipped_polls = 0
@@ -175,7 +174,7 @@ class AdaptiveProgressController:
             self.depth_ewma = float(depth)
         else:
             self.depth_ewma = (
-                self.alpha * depth + (1 - self.alpha) * self.depth_ewma
+                _EWMA_ALPHA * depth + (1 - _EWMA_ALPHA) * self.depth_ewma
             )
         cap = int(1 + 2 * self.depth_ewma)
         self._drain_cap = max(self.floor_batch, min(cap, self.ceil_batch))
@@ -193,11 +192,13 @@ class AdaptiveProgressController:
         if self.yield_ewma is None:
             self.yield_ewma = y
         else:
-            self.yield_ewma = self.alpha * y + (1 - self.alpha) * self.yield_ewma
+            self.yield_ewma = (
+                _EWMA_ALPHA * y + (1 - _EWMA_ALPHA) * self.yield_ewma
+            )
         eps = 1.0 / self.ceil_interval
         interval = int(1.0 / max(self.yield_ewma, eps))
         self._poll_interval = max(
-            self.floor_interval, min(interval, self.ceil_interval)
+            _MIN_POLL_INTERVAL, min(interval, self.ceil_interval)
         )
         decision = ProgressDecision(now_ns, self._drain_cap, self._poll_interval)
         if (

@@ -76,36 +76,7 @@ class FeatureFlags:
     agg_max_entries / agg_max_bytes:
         Aggregator auto-flush thresholds: a destination buffer flushes
         when it holds this many entries or payload bytes (only consulted
-        when ``am_aggregation`` is on).  With ``agg_adaptive`` set these
-        become the *ceilings* of the controller's operating range.
-    agg_adaptive:
-        Online flush-threshold control plus the age-bound flush (see
-        :mod:`repro.gasnet.adaptive`): per-destination EWMA estimators of
-        inter-arrival gap and payload size size the effective thresholds
-        between the floor (``agg_min_*``) and ceiling (``agg_max_*``)
-        bounds, and a buffer whose oldest entry is older than
-        ``agg_max_age_ticks`` is flushed at the next conduit activity or
-        progress poll.  Off by default: the static PR-1 behaviour is
-        bit-identical with this flag off.
-    agg_min_entries / agg_min_bytes:
-        Floors of the adaptive controller's threshold range (only
-        consulted when ``agg_adaptive`` is on).
-    agg_max_age_ticks:
-        Age bound in simulated-clock ticks (ns): the maximum time the
-        oldest parked entry may sit in a buffer before the next conduit
-        activity or progress poll force-flushes it.  Also the controller's
-        latency target (batch depth is chosen so the expected fill time
-        stays inside this bound).
-    agg_ewma_alpha:
-        Blending factor of the controller's EWMA estimators (0 < a <= 1;
-        larger adapts faster, smaller smooths more).
-    agg_compression:
-        Delta-compression of bundle framing: runs of consecutive entries
-        sharing one conduit-level handler (the entry *label*) are encoded
-        as one full entry header plus small continuation headers, so
-        homogeneous streams (GUPS updates) pay the handler id once per
-        run.  Pure wire-footprint model change — handlers still run
-        identically.  Off by default.
+        when ``am_aggregation`` is on).
     progress_adaptive:
         EWMA-based control of the progress engine's drain loop (see
         :mod:`repro.runtime.adaptive_progress`): each full poll observes
@@ -118,20 +89,15 @@ class FeatureFlags:
     progress_min_batch / progress_max_batch:
         Floor and ceiling of the controller's per-poll drain batch cap
         (only consulted when ``progress_adaptive`` is on).
-    progress_min_poll_interval / progress_max_poll_interval:
-        Floor and ceiling of the poll-thinning interval: at most
-        ``interval - 1`` consecutive provably-empty progress calls are
-        elided before a full poll is forced.  An interval of 1 never
-        elides.
+    progress_max_poll_interval:
+        Ceiling of the poll-thinning interval: at most ``interval - 1``
+        consecutive provably-empty progress calls are elided before a
+        full poll is forced.  The floor is 1, which never elides.
     progress_max_age_ticks:
-        Notification-latency guarantee in simulated-clock ticks (ns),
-        analogous to ``agg_max_age_ticks``: no deferred completion waits
-        longer than this once enqueued — aged entries are dispatched past
-        the batch cap and opportunistically retired at the next engine
-        activity.
-    progress_ewma_alpha:
-        Blending factor of the progress controller's EWMA estimators
-        (0 < a <= 1).
+        Notification-latency guarantee in simulated-clock ticks (ns): no
+        deferred completion waits longer than this once enqueued — aged
+        entries are dispatched past the batch cap and opportunistically
+        retired at the next engine activity.
     wait_hints:
         Wait-aware completion targeting (see
         :mod:`repro.runtime.wait_hints`): a blocking wait publishes the
@@ -140,14 +106,14 @@ class FeatureFlags:
         batch cap (charging ``PROGRESS_HINT_SCAN`` per targeted scan),
         and the AM aggregator immediately flushes the awaited
         destination's buffer plus near-full ride-alongs instead of
-        waiting for the age bound.  Off by default on every build: with
+        flushing every buffer.  Off by default on every build: with
         the flag off no target is ever published and the runtime is
         bit-identical to the unhinted behaviour.
     wait_flush_fill_frac:
         Near-full ride-along threshold of the targeted flush (0 < f <=
         1): while a hinted wait is active, a destination buffer whose
-        entry or byte fill reaches this fraction of its effective flush
-        threshold is flushed in the same conduit activity as the awaited
+        entry or byte fill reaches this fraction of its flush threshold
+        is flushed in the same conduit activity as the awaited
         destination, sharing the injection wake-up (only consulted when
         ``wait_hints`` is on).
     obs_spans:
@@ -200,21 +166,13 @@ class FeatureFlags:
     am_aggregation: bool = False
     agg_max_entries: int = 32
     agg_max_bytes: int = 4096
-    agg_adaptive: bool = False
-    agg_min_entries: int = 2
-    agg_min_bytes: int = 256
-    agg_max_age_ticks: float = 131072.0
-    agg_ewma_alpha: float = 0.25
-    agg_compression: bool = False
     obs_spans: bool = False
     obs_span_capacity: int = 65536
     progress_adaptive: bool = False
     progress_min_batch: int = 4
     progress_max_batch: int = 256
-    progress_min_poll_interval: int = 1
     progress_max_poll_interval: int = 64
     progress_max_age_ticks: float = 32768.0
-    progress_ewma_alpha: float = 0.25
     wait_hints: bool = False
     wait_flush_fill_frac: float = 0.5
     sched_wake_list: bool = True
@@ -238,37 +196,6 @@ class FeatureFlags:
             raise UpcxxError(
                 f"agg_max_bytes must be >= 1, got {self.agg_max_bytes}"
             )
-        if self.agg_min_entries < 1:
-            raise UpcxxError(
-                f"agg_min_entries must be >= 1, got {self.agg_min_entries}"
-            )
-        if self.agg_min_bytes < 1:
-            raise UpcxxError(
-                f"agg_min_bytes must be >= 1, got {self.agg_min_bytes}"
-            )
-        if self.agg_adaptive:
-            # floor/ceiling consistency only binds once the controller
-            # actually operates on the range (a static configuration may
-            # legitimately set a ceiling below the adaptive floor defaults);
-            # re-validated automatically if replace() later flips the flag
-            if self.agg_min_entries > self.agg_max_entries:
-                raise UpcxxError(
-                    "agg_min_entries must not exceed agg_max_entries "
-                    f"({self.agg_min_entries} > {self.agg_max_entries})"
-                )
-            if self.agg_min_bytes > self.agg_max_bytes:
-                raise UpcxxError(
-                    "agg_min_bytes must not exceed agg_max_bytes "
-                    f"({self.agg_min_bytes} > {self.agg_max_bytes})"
-                )
-        if self.agg_max_age_ticks <= 0:
-            raise UpcxxError(
-                f"agg_max_age_ticks must be > 0, got {self.agg_max_age_ticks}"
-            )
-        if not (0.0 < self.agg_ewma_alpha <= 1.0):
-            raise UpcxxError(
-                f"agg_ewma_alpha must be in (0, 1], got {self.agg_ewma_alpha}"
-            )
         if self.obs_span_capacity < 1:
             raise UpcxxError(
                 f"obs_span_capacity must be >= 1, got {self.obs_span_capacity}"
@@ -281,40 +208,25 @@ class FeatureFlags:
             raise UpcxxError(
                 f"progress_max_batch must be >= 1, got {self.progress_max_batch}"
             )
-        if self.progress_min_poll_interval < 1:
-            raise UpcxxError(
-                "progress_min_poll_interval must be >= 1, got "
-                f"{self.progress_min_poll_interval}"
-            )
         if self.progress_max_poll_interval < 1:
             raise UpcxxError(
                 "progress_max_poll_interval must be >= 1, got "
                 f"{self.progress_max_poll_interval}"
             )
-        if self.progress_adaptive:
-            # same floor/ceiling convention as the aggregation knobs: the
-            # range only binds when a controller actually operates on it
-            if self.progress_min_batch > self.progress_max_batch:
-                raise UpcxxError(
-                    "progress_min_batch must not exceed progress_max_batch "
-                    f"({self.progress_min_batch} > {self.progress_max_batch})"
-                )
-            if self.progress_min_poll_interval > self.progress_max_poll_interval:
-                raise UpcxxError(
-                    "progress_min_poll_interval must not exceed "
-                    "progress_max_poll_interval "
-                    f"({self.progress_min_poll_interval} > "
-                    f"{self.progress_max_poll_interval})"
-                )
+        if (
+            self.progress_adaptive
+            and self.progress_min_batch > self.progress_max_batch
+        ):
+            # the floor/ceiling range only binds when the controller
+            # actually operates on it
+            raise UpcxxError(
+                "progress_min_batch must not exceed progress_max_batch "
+                f"({self.progress_min_batch} > {self.progress_max_batch})"
+            )
         if self.progress_max_age_ticks <= 0:
             raise UpcxxError(
                 "progress_max_age_ticks must be > 0, got "
                 f"{self.progress_max_age_ticks}"
-            )
-        if not (0.0 < self.progress_ewma_alpha <= 1.0):
-            raise UpcxxError(
-                "progress_ewma_alpha must be in (0, 1], got "
-                f"{self.progress_ewma_alpha}"
             )
         if not (0.0 < self.wait_flush_fill_frac <= 1.0):
             raise UpcxxError(

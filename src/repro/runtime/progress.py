@@ -35,7 +35,7 @@ hint only reorders dispatch within the wait; nothing is dropped or run
 twice, and queue-age accounting stays valid because removals never
 reorder the survivors (FIFO stamps stay monotone).  While a targeted
 wait is active the entry/exit aggregation flushes narrow to the awaited
-destination (plus near-full ride-alongs and aged buffers) — see
+destination (plus near-full ride-alongs) — see
 :meth:`repro.gasnet.aggregator.AmAggregator.flush_for_wait`.
 """
 
@@ -84,8 +84,7 @@ class ProgressEngine:
         ctl = ctx.progress_ctl
         if ctl is not None and not self._in_progress:
             # enqueueing is engine activity: retire notifications that the
-            # batch cap left behind past their age bound (the progress-queue
-            # analogue of the aggregator's flush-at-next-conduit-activity)
+            # batch cap left behind past their age bound
             self._drain_aged(ctx, ctl)
         ctx.charge(CostAction.PROGRESS_QUEUE_ENQUEUE)
         self._deferred.append((ctx.clock.now_ns, thunk, cell))
@@ -372,8 +371,8 @@ class ProgressEngine:
         Without a target (or with a non-targeted one — a barrier is
         blocked on everything) this is exactly the pre-existing
         ``flush_aggregation``: every buffer ships.  With a targeted wait
-        active, only the awaited destination, near-full ride-alongs and
-        aged buffers ship — sparse buffers keep batching while the
+        active, only the awaited destination and near-full ride-alongs
+        ship — sparse buffers keep batching while the
         caller spins, and the wait loop itself flushes everything before
         actually blocking (see ``Future._wait_hinted``), so nothing can
         be stranded.
@@ -385,9 +384,9 @@ class ProgressEngine:
             dsts = target.flush_dsts
             if len(dsts) > 1:
                 # a counter wait: every member destination is awaited, so
-                # each gets the targeted-flush treatment (ride-alongs and
-                # age flushes are handled inside the first call; the rest
-                # only ship their own buffer if still pending)
+                # each gets the targeted-flush treatment (ride-alongs are
+                # handled inside the first call; the rest only ship their
+                # own buffer if still pending)
                 return sum(agg.flush_for_wait(d) for d in dsts)
             return agg.flush_for_wait(dsts[0] if dsts else None)
         return 0

@@ -11,7 +11,7 @@ subsystems consult it:
   FIFO turn;
 * the AM aggregator (:mod:`repro.gasnet.aggregator`) flushes the awaited
   destination's buffer immediately (plus near-full ride-alongs) instead
-  of flushing everything or waiting for the age bound.
+  of flushing everything.
 
 A target with neither a cell nor a destination (a barrier — blocked on
 *everything*) deliberately changes nothing: the pre-existing

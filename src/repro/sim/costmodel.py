@@ -135,14 +135,6 @@ class CostAction(enum.Enum):
     #: receiver-side dispatch of one entry out of a delivered bundle
     #: (cheaper than a full ``AM_EXECUTE``: no per-message poll/queue work)
     AM_BUNDLE_ENTRY_DISPATCH = "am_bundle_entry_dispatch"
-    #: one observation of the adaptive batching controller: EWMA updates
-    #: of the destination's inter-arrival gap / payload size plus the
-    #: threshold recompute (paid per append when ``agg_adaptive`` is on)
-    AM_AGG_ADAPT = "am_agg_adapt"
-    #: delta-encoding one bundle entry at flush time (run detection and
-    #: continuation-header emission; paid per entry when
-    #: ``agg_compression`` is on)
-    AM_BUNDLE_COMPRESS = "am_bundle_compress"
 
     # -- misc ----------------------------------------------------------------
     LPC_ENQUEUE = "lpc_enqueue"

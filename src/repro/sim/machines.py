@@ -149,8 +149,6 @@ INTEL = MachineProfile(
         am_agg_append=9.0,
         am_bundle_header=40.0,
         am_bundle_entry_dispatch=8.0,
-        am_agg_adapt=2.0,
-        am_bundle_compress=1.5,
         rpc_serialize_per_byte=0.3,
         lpc_enqueue=5.0,
         barrier=600.0,
@@ -205,8 +203,6 @@ IBM = MachineProfile(
         am_agg_append=13.0,
         am_bundle_header=55.0,
         am_bundle_entry_dispatch=11.0,
-        am_agg_adapt=2.8,
-        am_bundle_compress=2.1,
         rpc_serialize_per_byte=0.45,
         lpc_enqueue=7.0,
         barrier=900.0,
@@ -261,8 +257,6 @@ MARVELL = MachineProfile(
         am_agg_append=16.0,
         am_bundle_header=70.0,
         am_bundle_entry_dispatch=14.0,
-        am_agg_adapt=3.6,
-        am_bundle_compress=2.7,
         rpc_serialize_per_byte=0.55,
         lpc_enqueue=9.0,
         barrier=1100.0,
@@ -314,8 +308,6 @@ GENERIC = MachineProfile(
         am_agg_append=10.0,
         am_bundle_header=45.0,
         am_bundle_entry_dispatch=9.0,
-        am_agg_adapt=2.0,
-        am_bundle_compress=1.5,
         rpc_serialize_per_byte=0.5,
         lpc_enqueue=5.0,
         barrier=500.0,

@@ -244,12 +244,9 @@ def pshm_cache_hits(world: "World") -> int:
 
 @dataclass(frozen=True)
 class AggregationStats:
-    """World-wide AM-aggregation counters (summed over ranks).
-
-    The adaptive/compression fields stay zero (and ``bundle_size_hist`` /
-    ``flush_reasons`` empty) unless the corresponding feature flags were
-    on — aggregating them is free either way.
-    """
+    """World-wide AM-aggregation counters (summed over ranks; all zero,
+    with ``bundle_size_hist`` / ``flush_reasons`` empty, when aggregation
+    is off)."""
 
     appended: int
     bundles_flushed: int
@@ -257,16 +254,8 @@ class AggregationStats:
     largest_bundle: int
     #: summed simulated parking time (append -> flush) over all entries
     parked_ns_total: float = 0.0
-    #: buffers force-flushed by the adaptive age bound
-    age_flushes: int = 0
     #: targeted wait flushes across all ranks (0 unless ``wait_hints``)
     wait_flushes: int = 0
-    #: adaptive-controller observations across all ranks
-    adaptive_updates: int = 0
-    #: recorded controller threshold decisions across all ranks
-    threshold_decisions: int = 0
-    #: framing bytes saved by bundle delta-compression
-    compression_saved_bytes: int = 0
     #: merged bundle-size -> count histogram
     bundle_size_hist: dict = field(default_factory=dict)
     #: merged flush-trigger -> count tally
@@ -280,9 +269,7 @@ class AggregationStats:
 
     @property
     def mean_parked_ns(self) -> float:
-        """Mean simulated parking latency of a flushed entry (the
-        quantity the adaptive controller drives down for sparse
-        traffic)."""
+        """Mean simulated parking latency of a flushed entry."""
         if not self.entries_flushed:
             return 0.0
         return self.parked_ns_total / self.entries_flushed
@@ -293,7 +280,7 @@ def aggregation_stats(world: "World") -> AggregationStats:
     counters of a world (all zeros when aggregation is off)."""
     appended = flushed = entries = largest = 0
     parked = 0.0
-    age = waits = updates = decisions = saved = 0
+    waits = 0
     hist: dict[int, int] = {}
     reasons: dict[str, int] = {}
     for s in aggregation_snapshots(world):
@@ -302,11 +289,7 @@ def aggregation_stats(world: "World") -> AggregationStats:
         entries += s.entries_flushed
         largest = max(largest, s.largest_bundle)
         parked += s.parked_ns_total
-        age += s.age_flushes
         waits += s.wait_flushes
-        updates += s.adaptive_updates
-        decisions += len(s.threshold_trajectory)
-        saved += s.compression_saved_bytes
         for size, count in s.bundle_size_hist.items():
             hist[size] = hist.get(size, 0) + count
         for reason, count in s.flush_reasons.items():
@@ -317,11 +300,7 @@ def aggregation_stats(world: "World") -> AggregationStats:
         entries_flushed=entries,
         largest_bundle=largest,
         parked_ns_total=parked,
-        age_flushes=age,
         wait_flushes=waits,
-        adaptive_updates=updates,
-        threshold_decisions=decisions,
-        compression_saved_bytes=saved,
         bundle_size_hist=hist,
         flush_reasons=reasons,
     )
@@ -330,8 +309,7 @@ def aggregation_stats(world: "World") -> AggregationStats:
 def aggregation_snapshots(world: "World"):
     """Per-rank :class:`~repro.gasnet.aggregator.AggregatorSnapshot` list
     (empty when aggregation is off) — the full per-rank view behind
-    :func:`aggregation_stats`, including each rank's adaptive threshold
-    trajectory."""
+    :func:`aggregation_stats`."""
     return gather_rank_snapshots(
         world,
         lambda ctx: ctx.am_agg.stats() if ctx.am_agg is not None else None,

@@ -33,31 +33,23 @@ VE = Version.V2021_3_6_EAGER
 
 
 # ---------------------------------------------------------------------------
-# shared world/flags helpers (used by test_agg_adaptive, test_obs, the
-# adaptive-progress and fuzz suites; import as
-# ``from tests.conftest import adaptive_flags, ...``)
+# shared world/flags helpers (used by the aggregation, wait-hint,
+# adaptive-progress and property suites; import as
+# ``from tests.conftest import agg_flags, ...``)
 # ---------------------------------------------------------------------------
 
 
-def adaptive_flags(version=VE, **kw):
-    """Aggregation + adaptive-batching flags with tight test-sized knobs."""
-    defaults = dict(
-        am_aggregation=True,
-        agg_adaptive=True,
-        agg_max_entries=8,
-        agg_min_entries=2,
-        agg_max_bytes=4096,
-        agg_min_bytes=64,
-        agg_max_age_ticks=1000.0,
-    )
+def agg_flags(version=VE, **kw):
+    """Aggregation flags with a test-sized static entry threshold."""
+    defaults = dict(am_aggregation=True, agg_max_entries=8)
     defaults.update(kw)
     return flags_for(version).replace(**defaults)
 
 
-def adaptive_world(ranks=4, n_nodes=2, conduit="ibv", **kw):
-    """Ranks 0/1 on node 0, ranks 2/3 on node 1, adaptive batching on."""
+def agg_world(ranks=4, n_nodes=2, conduit="ibv", **kw):
+    """Ranks 0/1 on node 0, ranks 2/3 on node 1, aggregation on."""
     return build_world(
-        RuntimeConfig(conduit=conduit, flags=adaptive_flags(**kw)),
+        RuntimeConfig(conduit=conduit, flags=agg_flags(**kw)),
         ranks=ranks,
         n_nodes=n_nodes,
     )
@@ -88,7 +80,6 @@ def progress_adaptive_flags(version=VD, **kw):
         progress_adaptive=True,
         progress_min_batch=2,
         progress_max_batch=8,
-        progress_min_poll_interval=1,
         progress_max_poll_interval=16,
         progress_max_age_ticks=2000.0,
     )

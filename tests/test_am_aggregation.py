@@ -5,10 +5,13 @@ The aggregation layer (``repro.gasnet.aggregator``) parks small off-node
 AMs in per-destination buffers and ships them as bundles.  These tests pin
 down:
 
-* the four flush policies (entry threshold, byte threshold, explicit,
-  progress/barrier/wait entry);
+* the static flush policies (entry threshold, byte threshold, explicit,
+  progress/barrier/wait entry) — and that nothing else flushes a buffer;
+* flag validation, including the removed adaptive/compression knobs;
 * eligibility (off-node only, ``aggregatable`` only, flag-gated);
-* ordering within a destination;
+* ordering within a destination and the flat bundle framing;
+* the stats plumbing (per-rank snapshot, world rollup, report, GUPS
+  result fields);
 * the correctness gate — completion-carrying replies are never bundled,
   so no completion can be observed before its operation's bundle was
   delivered, and deferred/eager builds reach identical final states.
@@ -20,34 +23,58 @@ import pytest
 from repro import barrier, new_, new_array, operation_cx, rank_me, rput
 from repro.apps.gups import GupsConfig, run_gups
 from repro.atomics.domain import AtomicDomain
+from repro.bench.report import format_aggregation_report
 from repro.core.promise import Promise
 from repro.errors import UpcxxError
+from repro.gasnet.aggregator import BUNDLE_HEADER_BYTES, ENTRY_HEADER_BYTES
 from repro.memory.global_ptr import GlobalPtr
-from repro.rpc import rpc_ff
-from repro.runtime.config import RuntimeConfig, Version, flags_for
+from repro.runtime.config import RuntimeConfig, flags_for
 from repro.runtime.context import current_ctx
 from repro.runtime.runtime import build_world, spmd_run
 from repro.sim.costmodel import CostAction
-from repro.sim.stats import aggregation_stats, pshm_cache_hits
+from repro.sim.stats import (
+    aggregation_snapshots,
+    aggregation_stats,
+    pshm_cache_hits,
+)
+from tests.conftest import VD, VE, agg_flags, agg_world, send_agg_am
 
-VD, VE = Version.V2021_3_6_DEFER, Version.V2021_3_6_EAGER
 
-
-def agg_flags(version=VE, max_entries=32, max_bytes=4096):
-    return flags_for(version).replace(
-        am_aggregation=True,
-        agg_max_entries=max_entries,
-        agg_max_bytes=max_bytes,
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(agg_max_entries=0),
+            dict(agg_max_entries=-3),
+            dict(agg_max_bytes=0),
+            dict(agg_max_bytes=-1),
+        ],
     )
+    def test_bad_thresholds_rejected_at_construction(self, bad):
+        """Zero/negative thresholds would make a buffer never flush; they
+        must fail when the flags value is *built*, before any world
+        exists."""
+        with pytest.raises(UpcxxError):
+            flags_for(VE).replace(**bad)
 
+    def test_rejected_even_with_aggregation_off(self):
+        """The value is invalid per se, not merely when consumed."""
+        with pytest.raises(UpcxxError):
+            flags_for(VE).replace(am_aggregation=False, agg_max_bytes=0)
 
-def agg_world(ranks=4, n_nodes=2, conduit="ibv", **kw):
-    """A multi-node world with aggregation on (ranks 0/1 node 0, 2/3 node 1)."""
-    return build_world(
-        RuntimeConfig(conduit=conduit, flags=agg_flags(**kw)),
-        ranks=ranks,
-        n_nodes=n_nodes,
-    )
+    def test_smallest_thresholds_accepted(self):
+        fl = flags_for(VE).replace(
+            am_aggregation=True, agg_max_entries=1, agg_max_bytes=1
+        )
+        assert (fl.agg_max_entries, fl.agg_max_bytes) == (1, 1)
+
+    def test_removed_adaptive_flag_is_rejected(self):
+        with pytest.raises(TypeError):
+            flags_for(VE).replace(agg_adaptive=True)
+
+    def test_removed_compression_flag_is_rejected(self):
+        with pytest.raises(TypeError):
+            flags_for(VE).replace(agg_compression=True)
 
 
 class TestEligibility:
@@ -94,16 +121,12 @@ class TestEligibility:
 
     def test_bad_thresholds_rejected(self):
         with pytest.raises(UpcxxError):
-            build_world(
-                RuntimeConfig(conduit="ibv", flags=agg_flags(max_entries=0)),
-                ranks=4,
-                n_nodes=2,
-            )
+            agg_world(agg_max_entries=0)
 
 
 class TestFlushPolicies:
     def test_entry_threshold(self):
-        w = agg_world(max_entries=4)
+        w = agg_world(agg_max_entries=4)
         ctx0 = w.contexts[0]
         got = []
         for i in range(3):
@@ -119,7 +142,7 @@ class TestFlushPolicies:
         assert got == [0, 1, 2, 3]  # append order preserved
 
     def test_byte_threshold(self):
-        w = agg_world(max_entries=1000, max_bytes=64)
+        w = agg_world(agg_max_entries=1000, agg_max_bytes=64)
         ctx0 = w.contexts[0]
         w.conduit.send_am(
             ctx0, 2, lambda t: None, nbytes=32, aggregatable=True
@@ -152,6 +175,21 @@ class TestFlushPolicies:
         ctx0.progress()
         assert ctx0.am_agg.pending_entries() == 0
         assert w.conduit.pending_for(2) == 1
+        assert ctx0.am_agg.stats().flush_reasons == {"progress_entry": 1}
+
+    def test_conduit_activity_does_not_flush(self):
+        """Below both thresholds a buffer parks until a flush point: other
+        AM sends and polls by the same rank never ship it, however much
+        virtual time passes."""
+        w = agg_world()
+        ctx0 = w.contexts[0]
+        send_agg_am(w, 0, 2)
+        ctx0.clock.advance(1e9)
+        w.conduit.send_am(ctx0, 1, lambda t: None)
+        w.conduit.poll(ctx0)
+        assert ctx0.am_agg.pending_entries(2) == 1
+        assert w.conduit.pending_for(2) == 0
+        assert ctx0.am_agg.stats().flush_reasons == {}
 
     def test_flush_covers_wait_and_barrier(self):
         """An initiator spinning in wait() must publish its own buffered
@@ -172,10 +210,30 @@ class TestFlushPolicies:
         )
         assert res.values == [0, 0, 123, 0]
 
+    def test_wait_and_barrier_covered_in_deferred_build(self):
+        """The same flush points hold in the deferred build, with
+        thresholds far above anything the body sends: only wait() and
+        barrier() can publish the parked put request."""
+
+        def body():
+            g = new_("u64", 0)
+            barrier()
+            if rank_me() == 0:
+                remote = GlobalPtr(2, g.offset, g.ts)
+                rput(123, remote).wait()
+            barrier()
+            return int(g.local().read())
+
+        res = spmd_run(
+            body, ranks=4, n_nodes=2, conduit="ibv", version=VD,
+            flags=agg_flags(VD, agg_max_entries=1024, agg_max_bytes=1 << 20),
+        )
+        assert res.values == [0, 0, 123, 0]
+
 
 class TestCostModel:
     def test_injections_amortized(self):
-        w = agg_world(max_entries=8)
+        w = agg_world(agg_max_entries=8)
         ctx0 = w.contexts[0]
         for _ in range(8):
             w.conduit.send_am(
@@ -189,8 +247,19 @@ class TestCostModel:
         assert ctx2.costs.count(CostAction.AM_EXECUTE) == 1
         assert ctx2.costs.count(CostAction.AM_BUNDLE_ENTRY_DISPATCH) == 8
 
+    def test_bundle_wire_footprint(self):
+        """A bundle's wire size is its payload plus flat framing: one
+        bundle header and one entry header per entry."""
+        w = agg_world()
+        for _ in range(8):
+            send_agg_am(w, 0, 2, nbytes=8, label="rpc_ff")
+        (msg,) = w.conduit._inboxes[2]._queue
+        assert msg.nbytes == 8 * 8 + BUNDLE_HEADER_BYTES + 8 * (
+            ENTRY_HEADER_BYTES
+        )
+
     def test_aggregation_stats_helper(self):
-        w = agg_world(max_entries=4)
+        w = agg_world(agg_max_entries=4)
         ctx0 = w.contexts[0]
         for _ in range(6):
             w.conduit.send_am(
@@ -324,7 +393,7 @@ class TestSemanticsEquivalence:
                 version=version,
                 machine="generic",
                 conduit="ibv",
-                flags=agg_flags(version, max_entries=16),
+                flags=agg_flags(version, agg_max_entries=16),
             )
             assert r.matches_oracle
             assert r.passes_hpcc_verification
@@ -356,3 +425,122 @@ class TestSemanticsEquivalence:
             assert runs[on].matches_oracle
         assert np.array_equal(runs[False].table, runs[True].table)
         assert runs[True].am_injects < runs[False].am_injects
+
+    def test_gups_defer_eager_identical_with_byte_threshold(self):
+        """A byte threshold tight enough to cut bundles before the entry
+        threshold does: deferred and eager builds still reach identical
+        final tables that match the race-free oracle."""
+        cfg = GupsConfig(
+            variant="agg", table_log2=10, updates_per_rank=64, batch=16
+        )
+        tables = {}
+        for version in (VD, VE):
+            fl = agg_flags(version, agg_max_entries=64, agg_max_bytes=64)
+            r = run_gups(
+                cfg, ranks=4, n_nodes=2, version=version,
+                machine="generic", conduit="ibv", flags=fl,
+            )
+            assert r.matches_oracle
+            assert r.error_fraction == 0.0
+            assert r.am_bundles > 0
+            assert r.agg_stats.flush_reasons.get("bytes", 0) > 0
+            tables[version] = r.table
+        assert np.array_equal(tables[VD], tables[VE])
+
+    def test_agg_vs_default_flags_same_state(self):
+        """Against each version's unmodified default flags, static
+        aggregation changes only the schedule: identical final tables in
+        both builds, with fewer injections."""
+        cfg = GupsConfig(
+            variant="agg", table_log2=10, updates_per_rank=64, batch=16
+        )
+        for version in (VD, VE):
+            runs = {}
+            for key, fl in (
+                ("off", flags_for(version)),
+                ("on", agg_flags(version, agg_max_entries=16)),
+            ):
+                runs[key] = run_gups(
+                    cfg, ranks=4, n_nodes=2, version=version,
+                    machine="generic", conduit="ibv", flags=fl,
+                )
+                assert runs[key].matches_oracle
+            assert np.array_equal(runs["off"].table, runs["on"].table)
+            assert runs["on"].am_injects < runs["off"].am_injects
+
+
+class TestStats:
+    def test_snapshot_and_world_rollup(self):
+        w = agg_world()
+        ctx0 = w.contexts[0]
+        for _ in range(12):
+            ctx0.clock.advance(600.0)
+            send_agg_am(w, 0, 2)
+        ctx0.am_agg.flush_all()
+        snap = ctx0.am_agg.stats()
+        assert snap.rank == 0
+        assert snap.appended == 12
+        assert snap.entries_flushed == 12
+        assert snap.pending_entries == 0
+        assert snap.bundle_size_hist == {8: 1, 4: 1}
+        assert snap.flush_reasons == {"entries": 1, "explicit": 1}
+        assert sum(snap.bundle_size_hist.values()) == snap.bundles_flushed
+        # the 8-entry bundle parked 7+6+...+0 gaps, the 4-entry one 3+2+1
+        assert snap.parked_ns_total >= 600.0 * (28 + 6)
+        assert snap.mean_parked_ns > 0.0
+
+        world_stats = aggregation_stats(w)
+        assert world_stats.appended == 12
+        assert world_stats.bundle_size_hist == snap.bundle_size_hist
+        assert world_stats.flush_reasons == snap.flush_reasons
+        assert world_stats.mean_parked_ns == pytest.approx(
+            snap.mean_parked_ns
+        )
+        snaps = aggregation_snapshots(w)
+        assert len(snaps) == 4
+        assert snaps[0] == snap
+
+    def test_progress_flush_reason_tagged(self):
+        """A progress entry flushes every destination's buffer, one
+        ``progress_entry`` flush each, and the world rollup sums them."""
+        w = agg_world()
+        send_agg_am(w, 0, 2)
+        send_agg_am(w, 0, 3)
+        send_agg_am(w, 1, 2)
+        w.contexts[0].progress()
+        assert w.contexts[0].am_agg.stats().flush_reasons == {
+            "progress_entry": 2
+        }
+        assert w.contexts[1].am_agg.pending_entries() == 1
+        w.contexts[1].progress()
+        assert aggregation_stats(w).flush_reasons == {"progress_entry": 3}
+
+    def test_report_formatting(self):
+        w = agg_world()
+        ctx0 = w.contexts[0]
+        for _ in range(6):
+            ctx0.clock.advance(600.0)
+            send_agg_am(w, 0, 2)
+        ctx0.am_agg.flush_all()
+        text = format_aggregation_report(
+            "AM aggregation activity", aggregation_stats(w)
+        )
+        assert "bundles flushed" in text
+        assert "mean parked (us)" in text
+        assert "bundles of 6" in text
+        assert "flushes: explicit" in text
+        for removed in ("age-bound", "adaptive", "framing bytes saved"):
+            assert removed not in text
+
+    def test_gups_result_carries_agg_fields(self):
+        cfg = GupsConfig(
+            variant="agg", table_log2=10, updates_per_rank=32, batch=8
+        )
+        r = run_gups(
+            cfg, ranks=4, n_nodes=2, version=VE, machine="generic",
+            conduit="ibv", flags=agg_flags(agg_max_entries=16),
+        )
+        assert r.matches_oracle
+        assert r.am_bundles == r.agg_stats.bundles_flushed > 0
+        assert r.am_agg_entries == r.agg_stats.entries_flushed
+        assert r.agg_mean_parked_ns == r.agg_stats.mean_parked_ns >= 0.0

@@ -1,9 +1,9 @@
 """Flag-matrix equivalence: small GUPS across every feature-flag combo.
 
 One small ``agg``-variant GUPS run (4 ranks / 2 nodes / udp) is executed
-for every combination of ``{eager, defer} x 2^6`` feature flags:
-``am_aggregation``, ``agg_adaptive``, ``agg_compression``, ``obs_spans``,
-``progress_adaptive``, ``wait_hints``.  Expectations:
+for every combination of ``{eager, defer} x 2^4`` feature flags:
+``am_aggregation``, ``obs_spans``, ``progress_adaptive``, ``wait_hints``.
+Expectations:
 
 ===================  =====================================================
 axis                 expectation
@@ -12,9 +12,6 @@ axis                 expectation
                      program semantics
 obs_spans            pure observation: toggling it leaves ``solve_ns``
                      and ``am_injects`` bit-identical
-agg_adaptive,        inert without ``am_aggregation``: ``solve_ns``,
-agg_compression      ``am_injects`` and checksum bit-identical to the
-                     same combo with the dead flags cleared
 am_aggregation       strictly fewer ``AM_INJECT`` charges than the same
                      combo without it (bundling), and bundle headers
                      appear; checksum unchanged
@@ -23,12 +20,10 @@ progress_adaptive    checksum unchanged vs. the same combo without it;
                      static engine's (skips replace full polls; the few
                      aged mini-drains are charged as polls and must be
                      amortized by the elisions)
-wait_hints           checksum unchanged, and zero targeted wait flushes —
-                     the ``agg`` workload blocks only in barriers, whose
-                     wait target is non-targeting by design; without
-                     ``am_aggregation`` + ``agg_adaptive`` (the aged
-                     near-full ride-along, the one waitless pathway) the
-                     flag is fully inert: ``solve_ns`` and ``am_injects``
+wait_hints           fully inert: the ``agg`` workload blocks only in
+                     barriers, whose wait target is non-targeting by
+                     design, so there are zero targeted wait flushes and
+                     ``solve_ns``, ``am_injects`` and checksum are
                      bit-identical to the same combo with it cleared
 ===================  =====================================================
 
@@ -58,8 +53,6 @@ from tests.conftest import VD, VE, per_charge_costs, shim_gups
 
 AXES = (
     "am_aggregation",
-    "agg_adaptive",
-    "agg_compression",
     "obs_spans",
     "progress_adaptive",
     "wait_hints",
@@ -74,7 +67,7 @@ def combo_key(version, on):
 
 @pytest.fixture(scope="module")
 def matrix():
-    """All 128 runs, keyed by (version, frozenset(enabled flag names))."""
+    """All 32 runs, keyed by (version, frozenset(enabled flag names))."""
     results = {}
     for version in (VE, VD):
         for bits in itertools.product((False, True), repeat=len(AXES)):
@@ -121,17 +114,6 @@ class TestMatrix:
             assert obs.am_injects == base.am_injects, (version, on)
             assert obs.checksum == base.checksum, (version, on)
 
-    def test_agg_knob_flags_inert_without_aggregation(self, matrix):
-        for version, on in combos(without=("am_aggregation",)):
-            dead = on & {"agg_adaptive", "agg_compression"}
-            if not dead:
-                continue
-            stripped = matrix[combo_key(version, on - dead)]
-            res = matrix[combo_key(version, on)]
-            assert res.solve_ns == stripped.solve_ns, (version, on)
-            assert res.am_injects == stripped.am_injects, (version, on)
-            assert res.checksum == stripped.checksum, (version, on)
-
     def test_aggregation_bundles_reduce_injections(self, matrix):
         for version, on in combos(without=("am_aggregation",)):
             base = matrix[combo_key(version, on)]
@@ -162,13 +144,10 @@ class TestMatrix:
             hinted = matrix[combo_key(version, on | {"wait_hints"})]
             assert hinted.checksum == base.checksum, (version, on)
             # barriers publish non-targeting targets; nothing in the agg
-            # workload blocks on a future, so no targeted flush may fire
+            # workload blocks on a future, so every hinted path is dead
             assert hinted.agg_stats.wait_flushes == 0, (version, on)
-            if not {"am_aggregation", "agg_adaptive"} <= on:
-                # the aged near-full ride-along needs an active age bound;
-                # without one every hinted code path is dead
-                assert hinted.solve_ns == base.solve_ns, (version, on)
-                assert hinted.am_injects == base.am_injects, (version, on)
+            assert hinted.solve_ns == base.solve_ns, (version, on)
+            assert hinted.am_injects == base.am_injects, (version, on)
 
 
 # Scheduler-mechanism axes: ``sched_wake_list``, the cost model and the

@@ -6,8 +6,8 @@ Functional coverage of the hinted-wait plumbing end to end:
   and the :class:`~repro.runtime.wait_hints.WaitTarget` semantics;
 * targeted drains from real ``Future.wait()`` / promise waits (the
   engine-level removal invariants live in ``test_prop_progress.py``);
-* the aggregator's targeted flush composition — awaited destination,
-  near-full ride-alongs, aged buffers — and its stats plumbing;
+* the aggregator's targeted flush composition — awaited destination and
+  near-full ride-alongs — and its stats plumbing;
 * observability: ``t_hinted`` stamps, wait counters, stall histogram,
   report rows;
 * flag gating: validation, and bit-identity with the flag off;
@@ -53,8 +53,7 @@ from repro.sim.stats import (
 from tests.conftest import (
     VD,
     VE,
-    adaptive_flags,
-    adaptive_world,
+    agg_world,
     progress_adaptive_flags,
     send_agg_am,
 )
@@ -223,14 +222,9 @@ class TestHintedWaits:
 
 def _wait_world(**kw):
     """6 ranks / 2 nodes: rank 0 has off-node destinations 3, 4, 5."""
-    defaults = dict(
-        ranks=6,
-        wait_hints=True,
-        wait_flush_fill_frac=0.5,
-        agg_adaptive=False,
-    )
+    defaults = dict(ranks=6, wait_hints=True, wait_flush_fill_frac=0.5)
     defaults.update(kw)
-    return adaptive_world(**defaults)
+    return agg_world(**defaults)
 
 
 class TestFlushForWait:
@@ -263,8 +257,8 @@ class TestFlushForWait:
         assert agg.flush_reasons["near_full"] == 1
 
     def test_wait_flush_without_destination_hint(self):
-        """A local-op wait carries no destination: only ride-alongs and
-        aged buffers ship."""
+        """A local-op wait carries no destination: only ride-alongs
+        ship."""
         w = _wait_world()
         agg = w.contexts[0].am_agg
         for _ in range(5):
@@ -274,24 +268,6 @@ class TestFlushForWait:
         assert agg.pending_entries(4) == 0
         assert agg.pending_entries(5) == 1
         assert "wait_hint" not in agg.flush_reasons
-
-    def test_aged_flush_carries_near_full_ride_along(self):
-        """The cross-destination follow-on: an age flush wakes the
-        conduit, so near-full buffers ship in the same activity."""
-        w = _wait_world(agg_adaptive=True)  # age bound on (1000 ticks)
-        ctx0 = w.contexts[0]
-        agg = ctx0.am_agg
-        send_agg_am(w, 0, 3)  # will age out
-        ctx0.clock.advance(600.0)
-        for _ in range(5):
-            send_agg_am(w, 0, 4)  # young but past the fill fraction
-        ctx0.clock.advance(500.0)  # dst 3 aged (1100), dst 4 young (500)
-        shipped = agg.flush_aged()
-        assert shipped >= 6
-        assert agg.pending_entries(3) == 0
-        assert agg.pending_entries(4) == 0
-        assert agg.flush_reasons["age"] == 1
-        assert agg.flush_reasons["near_full"] >= 1
 
     def test_snapshot_carries_wait_flushes(self):
         w = _wait_world()
